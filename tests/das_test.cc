@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <set>
+#include <string>
 
 #include "crypto/drbg.h"
 #include "das/das_relation.h"
@@ -291,7 +293,17 @@ INSTANTIATE_TEST_SUITE_P(
                       DasEndToEndParam{PartitionStrategy::kEquiWidth, 1},
                       DasEndToEndParam{PartitionStrategy::kEquiDepth, 5},
                       DasEndToEndParam{PartitionStrategy::kEquiDepth, 2},
-                      DasEndToEndParam{PartitionStrategy::kSingleton, 0}));
+                      DasEndToEndParam{PartitionStrategy::kSingleton, 0}),
+    // Named from the fields: the printed parameter is a byte dump that
+    // includes the struct's uninitialized padding.
+    [](const ::testing::TestParamInfo<DasEndToEndParam>& info) {
+      std::string name = PartitionStrategyToString(info.param.strategy);
+      name += "_" + std::to_string(info.param.partitions);
+      for (char& c : name) {
+        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+      }
+      return name;
+    });
 
 TEST(DasServerQueryTest, SerializeRoundTrip) {
   DasServerQuery q{{{{1, 2}, {3, 4}, {5, 6}}, {{7, 8}}}};

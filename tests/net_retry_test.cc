@@ -39,7 +39,9 @@ TEST(RetryPolicy, BackoffGrowsExponentiallyUpToCap) {
     // Cap plus at most half the cap of jitter.
     EXPECT_LE(ms, policy.max_backoff_ms + policy.max_backoff_ms / 2)
         << attempt;
-    if (attempt <= 3) EXPECT_GE(ms, prev / 2) << attempt;  // roughly growing
+    if (attempt <= 3) {
+      EXPECT_GE(ms, prev / 2) << attempt;  // roughly growing
+    }
     prev = ms;
   }
 }

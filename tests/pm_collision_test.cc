@@ -118,8 +118,6 @@ TEST(PmPayloadCollision, ClientRejectsDuplicatePayloadTableIds) {
     }
     auto m = r.ReadU32();
     if (!m.ok() || *m < 2) return;
-    // Offset of the first ID from the end of what has been consumed.
-    size_t first_id_at = msg->payload.size() - r.remaining();
     auto first_id = r.ReadRaw(8);
     if (!first_id.ok() || !r.ReadBytes().ok()) return;
     size_t second_id_at = msg->payload.size() - r.remaining();

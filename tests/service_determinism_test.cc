@@ -10,6 +10,7 @@
 #include <future>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/testbed.h"
@@ -138,10 +139,16 @@ TEST_P(ServiceDeterminismTest, ConcurrentSessionsMatchSerialBitForBit) {
   for (auto& [id, o] : want) EXPECT_EQ(o.result_digest, digest);
 }
 
+// Named from the values, not the printed parameter: gtest prints a
+// const char* as its address, which differs between builds.
 INSTANTIATE_TEST_SUITE_P(
     AllProtocols, ServiceDeterminismTest,
     ::testing::Combine(::testing::Values("commutative", "das", "pm"),
-                       ::testing::Values(size_t{1}, size_t{4})));
+                       ::testing::Values(size_t{1}, size_t{4})),
+    [](const ::testing::TestParamInfo<ServiceDeterminismTest::ParamType>& info) {
+      return std::string(std::get<0>(info.param)) + "_threads" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace secmed
