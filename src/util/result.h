@@ -41,7 +41,9 @@ class Result {
     assert(ok());
     return std::get<T>(repr_);
   }
-  T&& value() && {
+  /// By value, not T&&: a reference into a temporary Result dangles once
+  /// the full expression ends, e.g. in `for (x : MakeResult().value())`.
+  T value() && {
     assert(ok());
     return std::get<T>(std::move(repr_));
   }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "util/bytes.h"
 #include "util/result.h"
@@ -71,6 +72,19 @@ TEST(ResultTest, ValueAndError) {
 TEST(ResultTest, AssignOrReturnMacro) {
   EXPECT_EQ(DoubleIt(21).value(), 42);
   EXPECT_FALSE(DoubleIt(0).ok());
+}
+
+Result<std::vector<std::string>> Words() {
+  return std::vector<std::string>{"alpha", "beta", "gamma"};
+}
+
+// value() on a temporary Result must hand out the value itself, not a
+// reference into the temporary: the range-for below keeps only what
+// value() returns alive, and the Result dies before the loop body runs.
+TEST(ResultTest, ValueOfTemporaryOutlivesTheResult) {
+  std::string joined;
+  for (const std::string& w : Words().value()) joined += w;
+  EXPECT_EQ(joined, "alphabetagamma");
 }
 
 TEST(BytesTest, StringConversionRoundTrip) {
