@@ -2,13 +2,11 @@
 // quantitative backing for DESIGN.md's fast-path section):
 //
 //   - generic schoolbook square-and-multiply vs the Montgomery context's
-//     sliding-window recoded exponentiation vs the fixed-base table;
-//   - Paillier encryption: naive r^n, the recoded inline path, and the
-//     pool-backed online cost (r^n amortized off the measured path);
+//     sliding-window recoded exponentiation, with the exponent recoded
+//     per call or once per fixed exponent;
+//   - Paillier encryption: naive r^n vs the recoded fixed exponent n;
 //   - Paillier decryption: single full-width exponentiation (no CRT) vs
 //     the two half-width CRT exponentiations — the ≥3x headline;
-//   - ElGamal encryption: generic group Pow vs the fixed-base tables
-//     (≥2x) vs the pool-backed online cost;
 //   - commutative encryption: generic Pow vs the once-per-key recoding.
 //
 // Compare runs with tools/bench_diff.py.
@@ -18,16 +16,13 @@
 #include "bench_env.h"
 
 #include <memory>
-#include <vector>
 
 #include "bigint/fastexp.h"
 #include "bigint/modular.h"
 #include "bigint/mont_kernel.h"
 #include "crypto/commutative.h"
-#include "crypto/elgamal.h"
 #include "crypto/group_params.h"
 #include "crypto/paillier.h"
-#include "crypto/randomizer_pool.h"
 #include "util/rng.h"
 
 namespace secmed {
@@ -36,7 +31,6 @@ namespace {
 constexpr size_t kGroupBits = 1024;
 constexpr size_t kPaillierBits = 1024;
 constexpr size_t kPaillierBitsLarge = 2048;
-constexpr size_t kPoolItems = 32;
 
 // Schoolbook square-and-multiply without Montgomery arithmetic: the
 // baseline every fast path is measured against.
@@ -139,24 +133,12 @@ void BM_ModExp_MontgomeryRecoded2048(benchmark::State& state) {
 }
 BENCHMARK(BM_ModExp_MontgomeryRecoded2048);
 
-void BM_ModExp_FixedBaseTable(benchmark::State& state) {
-  // The per-base amortization: one table, many exponents.
-  ModExpFixture& fx = Fx();
-  static FixedBaseTable* table =
-      new FixedBaseTable(fx.group.MakeFixedBaseTable(fx.base).value());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table->Pow(fx.exp));
-  }
-}
-BENCHMARK(BM_ModExp_FixedBaseTable);
-
 // ---------------------------------------------------------------- Paillier
 
 struct PaillierFixture {
   PaillierKeyPair keys;
   BigInt m;
   BigInt c;
-  PaillierRandomizerPool pool;
 
   PaillierFixture()
       : keys([] {
@@ -166,9 +148,6 @@ struct PaillierFixture {
         m(123456789) {
     XoshiroRandomSource rng(7003);
     c = keys.public_key.Encrypt(m, &rng).value();
-    std::vector<std::unique_ptr<RandomSource>> rngs = ForkN(&rng, kPoolItems);
-    pool = PaillierRandomizerPool::Precompute(keys.public_key, rngs,
-                                              /*per_item=*/1, /*threads=*/1);
   }
 };
 
@@ -199,18 +178,6 @@ void BM_PaillierEncrypt_Inline(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PaillierEncrypt_Inline);
-
-void BM_PaillierEncrypt_Pooled(benchmark::State& state) {
-  // Online cost only: the r^n exponentiations happened at pool build.
-  PaillierFixture& fx = Pf();
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        fx.pool.Encrypt(fx.keys.public_key, fx.m, i).value());
-    i = (i + 1) % kPoolItems;
-  }
-}
-BENCHMARK(BM_PaillierEncrypt_Pooled);
 
 void BM_PaillierDecrypt_NoCrt(benchmark::State& state) {
   PaillierFixture& fx = Pf();
@@ -258,68 +225,6 @@ void BM_PaillierDecrypt_Crt2048(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PaillierDecrypt_Crt2048);
-
-// ----------------------------------------------------------------- ElGamal
-
-struct ElGamalFixture {
-  QrGroup group;
-  ElGamalKeyPair keys;
-  ElGamalRandomizerPool pool;
-
-  ElGamalFixture()
-      : group(StandardGroup(kGroupBits).value()), keys([this] {
-          XoshiroRandomSource rng(7005);
-          return ElGamalGenerateKey(group, &rng);
-        }()) {
-    XoshiroRandomSource rng(7006);
-    std::vector<std::unique_ptr<RandomSource>> rngs = ForkN(&rng, kPoolItems);
-    pool = ElGamalRandomizerPool::Precompute(keys.public_key, rngs,
-                                             /*per_item=*/1, /*threads=*/1);
-  }
-};
-
-ElGamalFixture& Ef() {
-  static ElGamalFixture* fx = new ElGamalFixture();
-  return *fx;
-}
-
-void BM_ElGamalEncrypt_GenericPow(benchmark::State& state) {
-  // What Encrypt cost before the fixed-base tables: three generic
-  // exponentiations plus a product.
-  ElGamalFixture& fx = Ef();
-  XoshiroRandomSource rng(7007);
-  const ElGamalPublicKey& pub = fx.keys.public_key;
-  const BigInt m(17);
-  for (auto _ : state) {
-    BigInt r = pub.DrawRandomizer(&rng);
-    BigInt c1 = fx.group.Pow(pub.g(), r);
-    BigInt c2 =
-        (fx.group.Pow(pub.g(), m) * fx.group.Pow(pub.h(), r)) % fx.group.p();
-    benchmark::DoNotOptimize(c1);
-    benchmark::DoNotOptimize(c2);
-  }
-}
-BENCHMARK(BM_ElGamalEncrypt_GenericPow);
-
-void BM_ElGamalEncrypt_Table(benchmark::State& state) {
-  ElGamalFixture& fx = Ef();
-  XoshiroRandomSource rng(7007);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fx.keys.public_key.Encrypt(17, &rng).value());
-  }
-}
-BENCHMARK(BM_ElGamalEncrypt_Table);
-
-void BM_ElGamalEncrypt_Pooled(benchmark::State& state) {
-  ElGamalFixture& fx = Ef();
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        fx.pool.Encrypt(fx.keys.public_key, 17, i).value());
-    i = (i + 1) % kPoolItems;
-  }
-}
-BENCHMARK(BM_ElGamalEncrypt_Pooled);
 
 // ------------------------------------------------------------- Commutative
 

@@ -16,7 +16,6 @@
 #include "bigint/modular.h"
 #include "crypto/commutative.h"
 #include "crypto/drbg.h"
-#include "crypto/elgamal.h"
 #include "crypto/group_params.h"
 #include "crypto/hybrid.h"
 #include "crypto/paillier.h"
@@ -201,23 +200,6 @@ BENCHMARK(BM_Pm_BlindPolynomialEvaluation)
     ->Arg(32)
     ->Arg(128)
     ->Complexity(benchmark::oN);
-
-// ------------------------------------------- alternative scheme ([10]) --
-
-void BM_ElGamal_EncryptAddDecrypt(benchmark::State& state) {
-  // The paper's alternative homomorphic scheme, at count-tally scale.
-  QrGroup group = StandardGroup(256).value();
-  static const ElGamalKeyPair* kp =
-      new ElGamalKeyPair(ElGamalGenerateKey(group, &Rng()));
-  for (auto _ : state) {
-    ElGamalCiphertext a = kp->public_key.Encrypt(3, &Rng()).value();
-    ElGamalCiphertext b = kp->public_key.Encrypt(4, &Rng()).value();
-    benchmark::DoNotOptimize(
-        kp->private_key.DecryptSmall(kp->public_key.Add(a, b), 16).value());
-  }
-  state.SetLabel("exponential ElGamal, 256-bit group");
-}
-BENCHMARK(BM_ElGamal_EncryptAddDecrypt);
 
 // ------------------------------------------------------- number theory --
 

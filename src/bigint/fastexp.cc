@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <utility>
 
 namespace secmed {
 
@@ -51,90 +50,6 @@ ExponentRecoding ExponentRecoding::CreateWithWindow(const BigInt& exp,
   }
   rec.trailing_squarings_ = squarings;
   return rec;
-}
-
-Result<FixedBaseTable> FixedBaseTable::Create(
-    std::shared_ptr<const MontgomeryContext> ctx, const BigInt& base,
-    size_t max_exp_bits, int window_bits) {
-  if (ctx == nullptr) {
-    return Status::InvalidArgument("FixedBaseTable needs a Montgomery context");
-  }
-  if (base.is_negative()) {
-    return Status::InvalidArgument("FixedBaseTable base must be non-negative");
-  }
-  if (max_exp_bits == 0) {
-    return Status::InvalidArgument("max_exp_bits must be positive");
-  }
-  if (window_bits < 1 || window_bits > 8) {
-    return Status::InvalidArgument("window_bits must be in [1, 8]");
-  }
-
-  FixedBaseTable t;
-  t.base_ = base;
-  t.max_exp_bits_ = max_exp_bits;
-  t.window_bits_ = window_bits;
-  t.n_ = ctx->limb_count();
-
-  const size_t w = static_cast<size_t>(window_bits);
-  const size_t windows = (max_exp_bits + w - 1) / w;
-  const size_t digits = (static_cast<size_t>(1) << w) - 1;
-  const size_t n = t.n_;
-  t.table_.resize(windows * digits * n);
-
-  // power = base^(2^(w*i)) in the Montgomery domain; each window's digit
-  // column is a short multiplication chain off it. Everything stays raw
-  // limbs — the only BigInt conversion is packing the base once.
-  std::vector<Limb> power(n);
-  std::vector<Limb> scratch(ctx->scratch_limbs());
-  ctx->ToMontInto(power.data(), base, scratch.data());
-  for (size_t i = 0; i < windows; ++i) {
-    Limb* col = t.table_.data() + i * digits * n;
-    for (size_t k = 0; k < n; ++k) col[k] = power[k];
-    for (size_t d = 1; d < digits; ++d) {
-      ctx->MontMulInto(col + d * n, col + (d - 1) * n, power.data(),
-                       scratch.data());
-    }
-    if (i + 1 < windows) {
-      for (size_t k = 0; k < w; ++k) {
-        ctx->MontSqrInto(power.data(), power.data(), scratch.data());
-      }
-    }
-  }
-  t.ctx_ = std::move(ctx);
-  return t;
-}
-
-BigInt FixedBaseTable::Pow(const BigInt& exp) const {
-  if (exp.is_negative() || exp.BitLength() > max_exp_bits_) {
-    return ctx_->Exp(base_, exp);  // generic fallback for oversized exponents
-  }
-  const size_t w = static_cast<size_t>(window_bits_);
-  const size_t windows = (exp.BitLength() + w - 1) / w;
-  const size_t digits = (static_cast<size_t>(1) << w) - 1;
-  const size_t n = n_;
-  std::vector<Limb> acc(n);
-  std::vector<Limb> scratch(ctx_->scratch_limbs());
-  bool have_acc = false;
-  for (size_t i = 0; i < windows; ++i) {
-    uint32_t digit = 0;
-    for (size_t k = w; k-- > 0;) {
-      digit = (digit << 1) | (exp.TestBit(i * w + k) ? 1u : 0u);
-    }
-    if (digit == 0) continue;
-    const Limb* entry = table_.data() + (i * digits + (digit - 1)) * n;
-    if (have_acc) {
-      ctx_->MontMulInto(acc.data(), acc.data(), entry, scratch.data());
-    } else {
-      for (size_t k = 0; k < n; ++k) acc[k] = entry[k];
-      have_acc = true;
-    }
-  }
-  if (!have_acc) {
-    const std::vector<Limb>& one = ctx_->MontOneLimbs();
-    for (size_t k = 0; k < n; ++k) acc[k] = one[k];
-  }
-  ctx_->FromMontInto(acc.data(), acc.data(), scratch.data());
-  return ctx_->LimbsToBigInt(acc.data());
 }
 
 }  // namespace secmed

@@ -2,12 +2,9 @@
 #define SECMED_BIGINT_FASTEXP_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "bigint/bigint.h"
-#include "bigint/modular.h"
-#include "util/result.h"
 
 namespace secmed {
 
@@ -43,44 +40,6 @@ class ExponentRecoding {
   uint32_t trailing_squarings_ = 0;
   int window_bits_ = 1;
   size_t exp_bits_ = 0;
-};
-
-/// Precomputed radix-2^w powers of a fixed base for fast g^x.
-///
-/// Stores base^(d * 2^(w*i)) in the Montgomery domain for every window i
-/// and digit d, so Pow costs one Montgomery multiplication per non-zero
-/// exponent window and no squarings at all. Pays for itself after a
-/// handful of exponentiations; ElGamal g/h, the QR-group generator and the
-/// PM masking path reuse one table across thousands.
-class FixedBaseTable {
- public:
-  /// Builds a table covering exponents up to `max_exp_bits` bits.
-  /// `window_bits` trades table size for multiplications (1..8 bits).
-  static Result<FixedBaseTable> Create(
-      std::shared_ptr<const MontgomeryContext> ctx, const BigInt& base,
-      size_t max_exp_bits, int window_bits = 4);
-
-  /// base^exp mod m. Exponents longer than max_exp_bits (or negative) fall
-  /// back to the context's generic exponentiation.
-  BigInt Pow(const BigInt& exp) const;
-
-  const BigInt& base() const { return base_; }
-  size_t max_exp_bits() const { return max_exp_bits_; }
-  int window_bits() const { return window_bits_; }
-
- private:
-  FixedBaseTable() = default;
-
-  using Limb = MontgomeryContext::Limb;
-
-  std::shared_ptr<const MontgomeryContext> ctx_;
-  BigInt base_;
-  size_t max_exp_bits_ = 0;
-  int window_bits_ = 0;
-  size_t n_ = 0;  // limbs per entry (== ctx_->limb_count())
-  // Flat raw-limb storage, Montgomery domain: entry (window i, digit d) is
-  // base^(d * 2^(window_bits*i)) at offset (i * digits + (d - 1)) * n_.
-  std::vector<Limb> table_;
 };
 
 }  // namespace secmed

@@ -49,9 +49,9 @@ Result<BigInt> ModExp(const BigInt& base, const BigInt& exp, const BigInt& m);
 ///  - Raw limb spans (MontMulInto/MontSqrInto/ExpMontInto + the
 ///    conversion helpers): values live as `limb_count()` native limbs in
 ///    the Montgomery domain, operations run allocation-free against
-///    caller-owned scratch. The exponentiation loops, fixed-base tables
-///    and the hot crypto call sites hold raw limbs end-to-end and cross
-///    the BigInt boundary exactly once per value.
+///    caller-owned scratch. The exponentiation loops and the hot crypto
+///    call sites hold raw limbs end-to-end and cross the BigInt boundary
+///    exactly once per value.
 ///
 /// The native limb width is 64 bits with __int128 accumulation where the
 /// compiler provides it, 32 bits otherwise (see bigint/mont_kernel.h).

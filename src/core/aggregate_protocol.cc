@@ -7,7 +7,6 @@
 #include "crypto/commutative.h"
 #include "crypto/group_params.h"
 #include "crypto/paillier.h"
-#include "crypto/randomizer_pool.h"
 #include "util/parallel.h"
 #include "util/serialize.h"
 
@@ -115,32 +114,16 @@ Result<int64_t> AggregateJoinProtocol::Run(const std::string& sql,
     const char* src_role = which == 1 ? "source1" : "source2";
     std::string loop_label =
         obs::SpanName(src_role, "delivery", "agg.encrypt_sets");
-    // Each item encrypts its count and (optionally) its sum; with pools
-    // on, both randomizers are precomputed in the same per-item draw
-    // order the inline path uses, keeping transcripts bit-identical.
-    const size_t per_item = carries_sum ? 2 : 1;
-    PaillierRandomizerPool rpool;
-    if (ctx->use_crypto_pools) {
-      std::string pool_label =
-          obs::SpanName(src_role, "delivery", "agg.pool_randomizers");
-      rpool = PaillierRandomizerPool::Precompute(paillier, rngs, per_item,
-                                                 threads, ctx->obs,
-                                                 pool_label.c_str());
-    }
+    // Each item encrypts its count and then (optionally) its sum, both
+    // from the item's own forked RNG stream.
     SECMED_RETURN_IF_ERROR(
         ParallelForStatus(items.size(), threads, [&](size_t i) -> Status {
           Entry& e = entries[i];
           e.cipher = key.Encrypt(group.HashToGroup(*items[i].value_enc))
                          .ToBytes(group_bytes);
           BigInt count(static_cast<uint64_t>(items[i].tuples->size()));
-          BigInt enc_count;
-          if (ctx->use_crypto_pools) {
-            SECMED_ASSIGN_OR_RETURN(enc_count,
-                                    rpool.Encrypt(paillier, count, i, 0));
-          } else {
-            SECMED_ASSIGN_OR_RETURN(enc_count,
-                                    paillier.Encrypt(count, rngs[i].get()));
-          }
+          SECMED_ASSIGN_OR_RETURN(BigInt enc_count,
+                                  paillier.Encrypt(count, rngs[i].get()));
           e.enc_count = enc_count.ToBytes(pail_bytes);
           if (carries_sum) {
             int64_t sum = 0;
@@ -149,14 +132,8 @@ Result<int64_t> AggregateJoinProtocol::Run(const std::string& sql,
             }
             SECMED_ASSIGN_OR_RETURN(BigInt m,
                                     BigInt::Mod(BigInt(sum), paillier.n()));
-            BigInt enc_sum;
-            if (ctx->use_crypto_pools) {
-              SECMED_ASSIGN_OR_RETURN(enc_sum,
-                                      rpool.Encrypt(paillier, m, i, 1));
-            } else {
-              SECMED_ASSIGN_OR_RETURN(enc_sum,
-                                      paillier.Encrypt(m, rngs[i].get()));
-            }
+            SECMED_ASSIGN_OR_RETURN(BigInt enc_sum,
+                                    paillier.Encrypt(m, rngs[i].get()));
             e.enc_sum = enc_sum.ToBytes(pail_bytes);
           }
           return Status::OK();

@@ -9,7 +9,6 @@
 #include "crypto/group_params.h"
 #include "crypto/hybrid.h"
 #include "crypto/paillier.h"
-#include "crypto/randomizer_pool.h"
 #include "crypto/sha256.h"
 #include "util/parallel.h"
 #include "util/serialize.h"
@@ -290,25 +289,12 @@ Result<Relation> PmIntersectionProtocol::Run(const std::string& sql,
     const char* src_role = which == 1 ? "source1" : "source2";
     std::string loop_label =
         obs::SpanName(src_role, "delivery", "ix.encrypt_coeffs");
-    if (ctx->use_crypto_pools) {
-      std::string pool_label =
-          obs::SpanName(src_role, "delivery", "ix.pool_randomizers");
-      PaillierRandomizerPool rpool = PaillierRandomizerPool::Precompute(
-          paillier, rngs, 1, threads, ctx->obs, pool_label.c_str());
-      SECMED_RETURN_IF_ERROR(
-          ParallelForStatus(coeffs.size(), threads, [&](size_t k) -> Status {
-            SECMED_ASSIGN_OR_RETURN(enc[k],
-                                    rpool.Encrypt(paillier, coeffs[k], k));
-            return Status::OK();
-          }, ctx->obs, loop_label.c_str()));
-    } else {
-      SECMED_RETURN_IF_ERROR(
-          ParallelForStatus(coeffs.size(), threads, [&](size_t k) -> Status {
-            SECMED_ASSIGN_OR_RETURN(enc[k],
-                                    paillier.Encrypt(coeffs[k], rngs[k].get()));
-            return Status::OK();
-          }, ctx->obs, loop_label.c_str()));
-    }
+    SECMED_RETURN_IF_ERROR(
+        ParallelForStatus(coeffs.size(), threads, [&](size_t k) -> Status {
+          SECMED_ASSIGN_OR_RETURN(enc[k],
+                                  paillier.Encrypt(coeffs[k], rngs[k].get()));
+          return Status::OK();
+        }, ctx->obs, loop_label.c_str()));
     BinaryWriter w;
     w.WriteU8(which);
     w.WriteU32(static_cast<uint32_t>(coeffs.size()));

@@ -8,7 +8,6 @@
 #include "core/prepared.h"
 #include "crypto/hybrid.h"
 #include "crypto/paillier.h"
-#include "crypto/randomizer_pool.h"
 #include "crypto/sha256.h"
 #include "util/parallel.h"
 #include "util/serialize.h"
@@ -146,27 +145,12 @@ Result<Relation> PmJoinProtocol::Run(const std::string& sql,
       std::vector<BigInt> enc(coeffs.size());
       std::string loop_label =
           obs::SpanName(role, "delivery", "pm.encrypt_coeffs");
-      if (ctx->use_crypto_pools) {
-        // Precompute the r^n randomizers off the online path; the encrypt
-        // pass below is then one modular product per coefficient.
-        std::string pool_label =
-            obs::SpanName(role, "delivery", "pm.pool_randomizers");
-        PaillierRandomizerPool rpool = PaillierRandomizerPool::Precompute(
-            paillier, rngs, 1, threads, ctx->obs, pool_label.c_str());
-        SECMED_RETURN_IF_ERROR(ParallelForStatus(
-            coeffs.size(), threads, [&](size_t i) -> Status {
-              SECMED_ASSIGN_OR_RETURN(enc[i],
-                                      rpool.Encrypt(paillier, coeffs[i], i));
-              return Status::OK();
-            }, ctx->obs, loop_label.c_str()));
-      } else {
-        SECMED_RETURN_IF_ERROR(ParallelForStatus(
-            coeffs.size(), threads, [&](size_t i) -> Status {
-              SECMED_ASSIGN_OR_RETURN(
-                  enc[i], paillier.Encrypt(coeffs[i], rngs[i].get()));
-              return Status::OK();
-            }, ctx->obs, loop_label.c_str()));
-      }
+      SECMED_RETURN_IF_ERROR(ParallelForStatus(
+          coeffs.size(), threads, [&](size_t i) -> Status {
+            SECMED_ASSIGN_OR_RETURN(
+                enc[i], paillier.Encrypt(coeffs[i], rngs[i].get()));
+            return Status::OK();
+          }, ctx->obs, loop_label.c_str()));
       span.AddItems(enc.size());
 
       BinaryWriter w;

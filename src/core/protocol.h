@@ -47,12 +47,6 @@ struct ProtocolContext {
   /// are pure functions of their keys, so warm and cold sessions are
   /// byte-identical.
   PreparedCache* prepared = nullptr;
-  /// Use precomputed randomizer pools (crypto/randomizer_pool.h) for the
-  /// Paillier encryption loops: the r^n exponentiations run in a batch
-  /// ahead of the online encryption pass. Pools draw from the same
-  /// per-item forked RNG streams as the inline path, so transcripts are
-  /// bit-identical with pools on or off at any thread count.
-  bool use_crypto_pools = true;
 };
 
 /// Message types of the common request phase (Listing 1).

@@ -64,9 +64,4 @@ BigInt QrGroup::PowWithRecoding(const BigInt& x,
   return ctx_->ExpWithRecoding(x, rec);
 }
 
-Result<FixedBaseTable> QrGroup::MakeFixedBaseTable(const BigInt& base,
-                                                   int window_bits) const {
-  return FixedBaseTable::Create(ctx_, base, q_.BitLength(), window_bits);
-}
-
 }  // namespace secmed

@@ -47,15 +47,10 @@ class QrGroup {
   /// Pohlig–Hellman keys: recode e once, reuse for every hashed value).
   BigInt PowWithRecoding(const BigInt& x, const ExponentRecoding& rec) const;
 
-  /// The cached Montgomery context for p (shared with tables/pools).
+  /// The cached Montgomery context for p.
   const std::shared_ptr<const MontgomeryContext>& mont_ctx() const {
     return ctx_;
   }
-
-  /// Builds a fixed-base power table for `base`, covering exponents up to
-  /// |q| bits (the full exponent range of the group).
-  Result<FixedBaseTable> MakeFixedBaseTable(const BigInt& base,
-                                            int window_bits = 4) const;
 
  private:
   QrGroup() = default;

@@ -32,13 +32,11 @@ class PaillierPublicKey {
   Result<BigInt> Encrypt(const BigInt& m, RandomSource* rng) const;
 
   /// Draws the randomizer base r uniform in [1, n) with gcd(r, n) = 1 —
-  /// exactly the draw Encrypt performs. Exposed so randomizer pools can
-  /// consume the same RNG stream as the inline path.
+  /// exactly the draw Encrypt performs.
   BigInt DrawRandomizerBase(RandomSource* rng) const;
 
   /// The expensive half of Encrypt: r^n mod n^2 with the recoded fixed
-  /// exponent n. Precompute off the critical path and feed the result to
-  /// EncryptWithRandomizer.
+  /// exponent n.
   BigInt MakeRandomizer(const BigInt& r) const;
 
   /// Finishes an encryption given a precomputed r^n: one modular product.

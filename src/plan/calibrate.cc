@@ -8,7 +8,6 @@
 
 #include "crypto/commutative.h"
 #include "crypto/drbg.h"
-#include "crypto/elgamal.h"
 #include "crypto/group_params.h"
 #include "crypto/hybrid.h"
 #include "crypto/paillier.h"
@@ -85,13 +84,6 @@ Result<CalibrationProfile> RunCalibration(const CalibrateOptions& options) {
   profile.commutative_exp_us =
       MedianMicros(options.samples, options.reps, [&] {
         element = comm_key.Encrypt(element);
-      });
-
-  // --- ElGamal encryption (aggregation extension).
-  ElGamalKeyPair elgamal = ElGamalGenerateKey(group, &rng);
-  profile.elgamal_encrypt_us =
-      MedianMicros(options.samples, options.reps, [&] {
-        (void)elgamal.public_key.Encrypt(7, &rng);
       });
 
   // --- Hybrid sealing: small and large payloads split the per-call RSA
@@ -177,8 +169,6 @@ std::vector<std::string> CompareProfiles(const CalibrationProfile& reference,
        measured.paillier_scalar_mul_us},
       {"commutative_exp_us", reference.commutative_exp_us,
        measured.commutative_exp_us},
-      {"elgamal_encrypt_us", reference.elgamal_encrypt_us,
-       measured.elgamal_encrypt_us},
       {"hybrid_encrypt_us", reference.hybrid_encrypt_us,
        measured.hybrid_encrypt_us},
       {"hybrid_decrypt_us", reference.hybrid_decrypt_us,

@@ -50,7 +50,6 @@ obs::JsonValue CalibrationProfile::ToJson() const {
       {"paillier_scalar_mul_us",
        obs::JsonValue::Number(paillier_scalar_mul_us)},
       {"commutative_exp_us", obs::JsonValue::Number(commutative_exp_us)},
-      {"elgamal_encrypt_us", obs::JsonValue::Number(elgamal_encrypt_us)},
       {"hybrid_encrypt_us", obs::JsonValue::Number(hybrid_encrypt_us)},
       {"hybrid_decrypt_us", obs::JsonValue::Number(hybrid_decrypt_us)},
       {"hybrid_byte_ns", obs::JsonValue::Number(hybrid_byte_ns)},
@@ -85,8 +84,6 @@ Result<CalibrationProfile> CalibrationProfile::FromJson(
       ReadNumber(v, "paillier_scalar_mul_us", defaults.paillier_scalar_mul_us);
   p.commutative_exp_us =
       ReadNumber(v, "commutative_exp_us", defaults.commutative_exp_us);
-  p.elgamal_encrypt_us =
-      ReadNumber(v, "elgamal_encrypt_us", defaults.elgamal_encrypt_us);
   p.hybrid_encrypt_us =
       ReadNumber(v, "hybrid_encrypt_us", defaults.hybrid_encrypt_us);
   p.hybrid_decrypt_us =

@@ -24,8 +24,6 @@ struct CalibrationProfile {
   double paillier_scalar_mul_us = 65.0;  // one Horner step c^v mod n²
   // Pohlig–Hellman commutative exponentiation over a group_ref_bits group.
   double commutative_exp_us = 150.0;
-  // ElGamal encryption over a group_ref_bits group (fixed-base tables).
-  double elgamal_encrypt_us = 120.0;
   // RSA-OAEP + AES hybrid sealing at rsa_ref_bits.
   double hybrid_encrypt_us = 70.0;
   double hybrid_decrypt_us = 420.0;
@@ -44,6 +42,8 @@ struct CalibrationProfile {
   std::string build;
 
   obs::JsonValue ToJson() const;
+  /// Missing keys take the defaults above; unknown keys are ignored, so
+  /// profiles that still carry a retired coefficient load unchanged.
   static Result<CalibrationProfile> FromJson(const obs::JsonValue& v);
   static Result<CalibrationProfile> Load(const std::string& path);
   Status Save(const std::string& path) const;

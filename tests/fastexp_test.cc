@@ -1,20 +1,17 @@
 // Property tests for the modular-exponentiation fast paths: sliding-window
-// exponent recoding, fixed-base tables, Paillier CRT decryption and the
-// randomizer pools must all agree with the textbook slow paths bit for bit.
+// exponent recoding, Paillier CRT decryption, the per-key commutative and
+// RSA recodings must all agree with the textbook slow paths bit for bit.
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "bigint/fastexp.h"
 #include "bigint/modular.h"
 #include "bigint/prime.h"
 #include "crypto/commutative.h"
-#include "crypto/elgamal.h"
 #include "crypto/group_params.h"
 #include "crypto/paillier.h"
-#include "crypto/randomizer_pool.h"
 #include "crypto/rsa.h"
 #include "util/rng.h"
 
@@ -84,49 +81,7 @@ TEST(ExponentRecoding, ContextExpStillMatchesFreeModExp) {
   }
 }
 
-// ------------------------------------------------------ FixedBaseTable --
-
-TEST(FixedBaseTable, MatchesGenericExp) {
-  XoshiroRandomSource rng(201);
-  BigInt m = RandomOddModulus(384, &rng);
-  auto ctx = std::make_shared<const MontgomeryContext>(
-      MontgomeryContext::Create(m).value());
-  BigInt base = BigInt::RandomBelow(m, &rng);
-  for (int window = 1; window <= 6; ++window) {
-    FixedBaseTable table =
-        FixedBaseTable::Create(ctx, base, 256, window).value();
-    for (size_t bits : {1u, 17u, 255u, 256u}) {
-      BigInt exp = BigInt::RandomWithBits(bits, &rng);
-      EXPECT_EQ(table.Pow(exp), ctx->Exp(base, exp))
-          << "window=" << window << " bits=" << bits;
-    }
-    EXPECT_EQ(table.Pow(BigInt(0)), BigInt(1)) << "window=" << window;
-  }
-}
-
-TEST(FixedBaseTable, OversizedExponentFallsBack) {
-  XoshiroRandomSource rng(202);
-  BigInt m = RandomOddModulus(256, &rng);
-  auto ctx = std::make_shared<const MontgomeryContext>(
-      MontgomeryContext::Create(m).value());
-  BigInt base = BigInt::RandomBelow(m, &rng);
-  FixedBaseTable table = FixedBaseTable::Create(ctx, base, 64).value();
-  BigInt exp = BigInt::RandomWithBits(200, &rng);  // beyond max_exp_bits
-  EXPECT_EQ(table.Pow(exp), ctx->Exp(base, exp));
-}
-
-TEST(FixedBaseTable, RejectsBadParameters) {
-  XoshiroRandomSource rng(203);
-  BigInt m = RandomOddModulus(64, &rng);
-  auto ctx = std::make_shared<const MontgomeryContext>(
-      MontgomeryContext::Create(m).value());
-  EXPECT_FALSE(FixedBaseTable::Create(nullptr, BigInt(2), 64).ok());
-  EXPECT_FALSE(FixedBaseTable::Create(ctx, BigInt(2), 0).ok());
-  EXPECT_FALSE(FixedBaseTable::Create(ctx, BigInt(2), 64, 0).ok());
-  EXPECT_FALSE(FixedBaseTable::Create(ctx, BigInt(2), 64, 9).ok());
-}
-
-// ------------------------------------------------- Paillier CRT + pool --
+// ---------------------------------------------------------- Paillier CRT --
 
 TEST(PaillierCrt, DecryptMatchesNoCrtOnRandomPlaintexts) {
   XoshiroRandomSource rng(301);
@@ -167,102 +122,6 @@ TEST(PaillierCrt, SerializationRoundTripsCrtParams) {
           PaillierPrivateKey(kp.public_key, BigInt(0), BigInt(0)).Serialize())
           .value();
   EXPECT_FALSE(plain.has_crt());
-}
-
-TEST(PaillierPool, PooledEncryptionMatchesInlineBitForBit) {
-  XoshiroRandomSource key_rng(304);
-  PaillierKeyPair kp = PaillierGenerateKey(128, &key_rng).value();
-  const size_t items = 9;
-  // Same master seed → same forked streams for the pooled and inline runs.
-  XoshiroRandomSource rng_a(42), rng_b(42);
-  auto rngs_a = ForkN(&rng_a, items);
-  auto rngs_b = ForkN(&rng_b, items);
-
-  PaillierRandomizerPool pool =
-      PaillierRandomizerPool::Precompute(kp.public_key, rngs_a, 1, 4);
-  ASSERT_EQ(pool.items(), items);
-  for (size_t i = 0; i < items; ++i) {
-    BigInt m(static_cast<uint64_t>(1000 + i));
-    BigInt pooled = pool.Encrypt(kp.public_key, m, i).value();
-    BigInt inline_c = kp.public_key.Encrypt(m, rngs_b[i].get()).value();
-    EXPECT_EQ(pooled, inline_c) << "item " << i;
-  }
-}
-
-// Regression for the silent over-draw bug: Get past the precomputed
-// range used to read out-of-bounds pool memory (reusing or inventing
-// randomizers without any visible failure). It must now abort with a
-// diagnostic naming the pool and the draw.
-TEST(PaillierPoolDeathTest, OverDrawAbortsWithNamedDiagnostic) {
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  XoshiroRandomSource key_rng(305);
-  PaillierKeyPair kp = PaillierGenerateKey(128, &key_rng).value();
-  XoshiroRandomSource rng(43);
-  auto rngs = ForkN(&rng, 3);
-  PaillierRandomizerPool pool = PaillierRandomizerPool::Precompute(
-      kp.public_key, rngs, 2, 1, nullptr, "enc-r1");
-  ASSERT_EQ(pool.items(), 3u);
-  // One draw past the item range, one past the per-item range.
-  EXPECT_DEATH(pool.Get(3, 0),
-               "randomizer pool 'enc-r1': item 3 draw 0 out of bounds");
-  EXPECT_DEATH(pool.Get(0, 2), "out of bounds \\(3 items x 2 per item\\)");
-}
-
-// ---------------------------------------------------- ElGamal fast path --
-
-TEST(ElGamalFast, EncryptMatchesGenericPow) {
-  XoshiroRandomSource rng(401);
-  QrGroup group = StandardGroup(256).value();
-  ElGamalKeyPair kp = ElGamalGenerateKey(group, &rng);
-  // Fixed-base encryption must agree with the generic group power.
-  XoshiroRandomSource ra(7), rb(7);
-  for (uint64_t m : {0ull, 1ull, 17ull, 4095ull}) {
-    ElGamalCiphertext c = kp.public_key.Encrypt(m, &ra).value();
-    BigInt r = kp.public_key.DrawRandomizer(&rb);
-    EXPECT_EQ(c.c1, group.Pow(kp.public_key.g(), r)) << m;
-    BigInt expect_c2 = ModMul(group.Pow(kp.public_key.g(), BigInt(m)),
-                              group.Pow(kp.public_key.h(), r), group.p())
-                           .value();
-    EXPECT_EQ(c.c2, expect_c2) << m;
-    EXPECT_EQ(kp.private_key.DecryptSmall(c, 4100).value(), m);
-  }
-}
-
-TEST(ElGamalFast, PooledEncryptionMatchesInlineBitForBit) {
-  XoshiroRandomSource rng(402);
-  QrGroup group = StandardGroup(256).value();
-  ElGamalKeyPair kp = ElGamalGenerateKey(group, &rng);
-  const size_t items = 7;
-  XoshiroRandomSource rng_a(99), rng_b(99);
-  auto rngs_a = ForkN(&rng_a, items);
-  auto rngs_b = ForkN(&rng_b, items);
-  ElGamalRandomizerPool pool =
-      ElGamalRandomizerPool::Precompute(kp.public_key, rngs_a, 1, 4);
-  ASSERT_EQ(pool.items(), items);
-  for (size_t i = 0; i < items; ++i) {
-    uint64_t m = i * 3;
-    ElGamalCiphertext pooled = pool.Encrypt(kp.public_key, m, i).value();
-    ElGamalCiphertext inline_c =
-        kp.public_key.Encrypt(m, rngs_b[i].get()).value();
-    EXPECT_EQ(pooled, inline_c) << "item " << i;
-  }
-}
-
-TEST(ElGamalFast, BsgsCacheSurvivesGrowingBounds) {
-  XoshiroRandomSource rng(403);
-  QrGroup group = StandardGroup(256).value();
-  ElGamalKeyPair kp = ElGamalGenerateKey(group, &rng);
-  // Small bound first, then a larger one (forces a rebuild), then small
-  // again (reuses the larger table).
-  ElGamalCiphertext c1 = kp.public_key.Encrypt(9, &rng).value();
-  EXPECT_EQ(kp.private_key.DecryptSmall(c1, 10).value(), 9u);
-  ElGamalCiphertext c2 = kp.public_key.Encrypt(5000, &rng).value();
-  EXPECT_EQ(kp.private_key.DecryptSmall(c2, 6000).value(), 5000u);
-  ElGamalCiphertext c3 = kp.public_key.Encrypt(3, &rng).value();
-  EXPECT_EQ(kp.private_key.DecryptSmall(c3, 10).value(), 3u);
-  // Out-of-range still detected with a cached table present.
-  EXPECT_EQ(kp.private_key.DecryptSmall(c2, 100).status().code(),
-            StatusCode::kOutOfRange);
 }
 
 // ------------------------------------------------- commutative fast path --
