@@ -51,6 +51,9 @@ struct LoadStats {
   double cache_hit_rate = 0.0;
   /// Every completed query must reconstruct the same relation; the
   /// digest is the byte-identity acceptance check of the cache.
+  /// `secmedctl bench-load` also requires result_digest to equal
+  /// CanonicalResultDigest of the plaintext join, so a protocol that is
+  /// wrong the same way in every query fails too.
   bool digests_agree = true;
   Bytes result_digest;
 };

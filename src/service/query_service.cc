@@ -14,6 +14,11 @@
 
 namespace secmed {
 
+Bytes CanonicalResultDigest(Relation result) {
+  result.SortCanonically();
+  return Sha256::Hash(result.Serialize());
+}
+
 QueryService::QueryService(MediationTestbed* testbed, Options options)
     : testbed_(testbed),
       options_(std::move(options)),
@@ -171,13 +176,7 @@ QueryOutcome QueryService::Execute(const Query& query, uint64_t session_id) {
     }
     if (result.ok()) {
       out.result = std::move(result).value();
-      // Canonical digest: the result is a bag and its delivery order
-      // depends on the per-session RNG, so hash the canonically sorted
-      // tuples — digests then compare across sessions and across
-      // warm/cold runs, where raw serialization order would differ.
-      Relation canonical = out.result;
-      canonical.SortCanonically();
-      out.result_digest = Sha256::Hash(canonical.Serialize());
+      out.result_digest = CanonicalResultDigest(out.result);
       out.status = Status::OK();
     } else {
       out.status = result.status();

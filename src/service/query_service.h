@@ -47,6 +47,13 @@ struct QueryOutcome {
   }
 };
 
+/// Canonical digest of a join result: SHA-256 of the canonically sorted
+/// relation. The result is a bag whose delivery order depends on the
+/// session RNG, so raw serializations differ between sessions; canonical
+/// digests compare across sessions, across warm and cold runs, and with
+/// the plaintext reference join (MediationTestbed::ExpectedJoin).
+Bytes CanonicalResultDigest(Relation result);
+
 /// The long-lived in-process mediation service: one shared
 /// MediationTestbed (parties + keys + relations), a PreparedDatasetRegistry
 /// memoizing the per-relation delivery crypto across sessions, and a

@@ -234,6 +234,27 @@ TEST_P(ServiceCacheTest, CatalogChangeInvalidatesByVersion) {
   EXPECT_EQ(reg.Stats().entries, 0u);
 }
 
+// The service's result digest is the digest of the plaintext join — the
+// reference `secmedctl bench-load` checks every load run against — on
+// the cold path (cache misses) and the warm path (hits) alike.
+TEST_P(ServiceCacheTest, ResultDigestIsThePlaintextJoinDigest) {
+  MediationTestbed& tb = SharedTestbed();
+  QueryService::Options opt;
+  opt.rng_label = "plaintext-digest";
+  QueryService service(&tb, opt);
+  QueryService::Query query;
+  query.protocol = GetParam();
+  query.sql = tb.JoinSql();
+  const Bytes want = CanonicalResultDigest(tb.ExpectedJoin());
+  for (const char* pass : {"cold", "warm"}) {
+    auto out = service.Run(query);
+    ASSERT_TRUE(out.ok()) << pass << ": " << out.status().ToString();
+    ASSERT_TRUE(out->status.ok()) << pass << ": " << out->status.ToString();
+    EXPECT_EQ(out->result_digest, want) << pass;
+  }
+  EXPECT_GT(service.cache().Stats().hits, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllProtocols, ServiceCacheTest,
                          ::testing::Values("commutative", "das", "pm"));
 

@@ -39,8 +39,8 @@
 // Bench-load mode (`secmedctl bench-load ...`): closed/open-loop load
 // harness against the in-process query service (src/service/) — same
 // workload/protocol/service flags, plus --clients/--queries/--open-rate
-// and --compare-cold for the warm-vs-cold speedup check. See
-// docs/SERVICE.md.
+// and --compare-cold for the warm-vs-cold speedup check. Every run fails
+// unless its queries reproduce the plaintext join. See docs/SERVICE.md.
 //
 // Telemetry modes (docs/OBSERVABILITY.md):
 //   secmedctl stats --peer ... [--watch] [--prom-out F] [--json-out F]
@@ -719,18 +719,6 @@ int BenchLoadMain(int argc, char** argv) {
                  RenderLoadStats("warm (prepared cache)", warm).c_str());
     runs.emplace_back("cold", cold);
     runs.emplace_back("warm", warm);
-    if (cold.errors > 0 || warm.errors > 0) {
-      std::fprintf(stderr, "bench-load: FAIL: queries failed\n");
-      ++failures;
-    }
-    if (!cold.digests_agree || !warm.digests_agree ||
-        (cold.completed > 0 && warm.completed > 0 &&
-         cold.result_digest != warm.result_digest)) {
-      std::fprintf(
-          stderr,
-          "bench-load: FAIL: warm and cold results are not byte-identical\n");
-      ++failures;
-    }
     const double speedup = cold.throughput_qps > 0.0
                                ? warm.throughput_qps / cold.throughput_qps
                                : 0.0;
@@ -745,7 +733,25 @@ int BenchLoadMain(int argc, char** argv) {
     const std::string label = args.use_prepared ? "warm" : "cold";
     std::fprintf(stderr, "%s", RenderLoadStats(label, s).c_str());
     runs.emplace_back(label, s);
-    if (s.errors > 0 || !s.digests_agree) ++failures;
+  }
+  // Every completed query must reconstruct the plaintext join: the
+  // queries of a run agree with each other, and their common digest is
+  // the trusted-mediator reference's. A run that completes no query
+  // checked nothing and fails too.
+  const Bytes expected = CanonicalResultDigest((*testbed)->ExpectedJoin());
+  for (const auto& [label, s] : runs) {
+    if (s.errors > 0) {
+      std::fprintf(stderr, "bench-load: FAIL: %s: queries failed\n",
+                   label.c_str());
+      ++failures;
+    }
+    if (!s.digests_agree || s.result_digest != expected) {
+      std::fprintf(stderr,
+                   "bench-load: FAIL: %s: results differ from the plaintext "
+                   "join\n",
+                   label.c_str());
+      ++failures;
+    }
   }
   if (!json_out.empty()) {
     Status st = WriteBenchLoadJson(json_out, args.protocol, runs);
