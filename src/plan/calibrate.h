@@ -27,8 +27,8 @@ struct CalibrateOptions {
 /// Runs the per-primitive micro-probes (Paillier encrypt/decrypt-CRT/
 /// scalar-mul, commutative exponentiation, hybrid sealing with per-byte
 /// split, SHA-256, in-process wire cost) and returns the measured
-/// profile. Wall-clock timing: run on an idle
-/// machine and from an optimized build for recordable numbers.
+/// profile. Wall-clock timing: run on an idle machine and from an
+/// optimized build for recordable numbers.
 Result<CalibrationProfile> RunCalibration(const CalibrateOptions& options);
 
 /// Compares `measured` against the committed `reference`. Returns one

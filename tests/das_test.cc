@@ -298,7 +298,8 @@ INSTANTIATE_TEST_SUITE_P(
     // includes the struct's uninitialized padding.
     [](const ::testing::TestParamInfo<DasEndToEndParam>& info) {
       std::string name = PartitionStrategyToString(info.param.strategy);
-      name += "_" + std::to_string(info.param.partitions);
+      name += '_';
+      name += std::to_string(info.param.partitions);
       for (char& c : name) {
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
       }

@@ -145,7 +145,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllProtocols, ServiceDeterminismTest,
     ::testing::Combine(::testing::Values("commutative", "das", "pm"),
                        ::testing::Values(size_t{1}, size_t{4})),
-    [](const ::testing::TestParamInfo<ServiceDeterminismTest::ParamType>& info) {
+    [](const auto& info) {
       return std::string(std::get<0>(info.param)) + "_threads" +
              std::to_string(std::get<1>(info.param));
     });

@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -107,38 +106,23 @@ MediationTestbed& NarrowTestbed() {
 using RunFn = std::function<Result<Bytes>(const std::string& sql,
                                           ProtocolContext* ctx)>;
 
-Bytes EncodeInt(int64_t v) {
-  BinaryWriter w;
-  w.WriteU64(static_cast<uint64_t>(v));
-  return w.TakeBuffer();
-}
-
-RunFn Join(std::function<std::unique_ptr<JoinProtocol>()> make) {
-  return [make](const std::string& sql, ProtocolContext* ctx) -> Result<Bytes> {
-    SECMED_ASSIGN_OR_RETURN(Relation r, make()->Run(sql, ctx));
+/// Runs protocol P, constructed from `args`, and serializes its relation.
+template <typename P, typename... Args>
+RunFn RelationRun(Args... args) {
+  return [=](const std::string& sql, ProtocolContext* ctx) -> Result<Bytes> {
+    P protocol(args...);
+    SECMED_ASSIGN_OR_RETURN(Relation r, protocol.Run(sql, ctx));
     return r.Serialize();
   };
-}
-
-RunFn Das(DasProtocolOptions options) {
-  return Join([options] { return std::make_unique<DasJoinProtocol>(options); });
-}
-
-RunFn Commutative(CommutativeProtocolOptions options) {
-  return Join([options] {
-    return std::make_unique<CommutativeJoinProtocol>(options);
-  });
-}
-
-RunFn Pm(PmProtocolOptions options) {
-  return Join([options] { return std::make_unique<PmJoinProtocol>(options); });
 }
 
 RunFn Aggregate(JoinAggregateSpec spec) {
   return [spec](const std::string& sql, ProtocolContext* ctx) -> Result<Bytes> {
     AggregateJoinProtocol agg(256);
     SECMED_ASSIGN_OR_RETURN(int64_t v, agg.Run(sql, spec, ctx));
-    return EncodeInt(v);
+    BinaryWriter w;
+    w.WriteU64(static_cast<uint64_t>(v));
+    return w.TakeBuffer();
   };
 }
 
@@ -209,7 +193,7 @@ void ExpectPinned(const std::string& variant, const RunFn& run,
 
 TEST(TranscriptDigest, DasDefault) {
   ExpectPinned(
-      "das", Das({}),
+      "das", RelationRun<DasJoinProtocol>(),
       "9a52608fb7109f1523c650888d620c651d22ee433416d1d32601f4fc21c9952f",
       "62ff06d177d81116a86d5fa8a9b34a990631747425ba96881701f75f574e2f5c");
 }
@@ -218,7 +202,7 @@ TEST(TranscriptDigest, DasEquiWidth) {
   DasProtocolOptions o;
   o.strategy = PartitionStrategy::kEquiWidth;
   ExpectPinned(
-      "das-equi-width", Das(o),
+      "das-equi-width", RelationRun<DasJoinProtocol>(o),
       "146c5f2cd6ee9d7e7f7230b8fa44d0f010274a0a1e9ff4b1748576c5555fbc59",
       "4cc0c0e99b99c7981f825398d3577687beb5b4ac22bd09ca14a175df36fe201a");
 }
@@ -227,7 +211,7 @@ TEST(TranscriptDigest, DasSingleton) {
   DasProtocolOptions o;
   o.strategy = PartitionStrategy::kSingleton;
   ExpectPinned(
-      "das-singleton", Das(o),
+      "das-singleton", RelationRun<DasJoinProtocol>(o),
       "bb8492766d2a16627b1a5159484a8a741a5c5c270b42c83528a60a3473757314",
       "18bfa8bc7fb82c0f5651b9bb67f3c39ebce009a68374b3d1241ba7f55023744e");
 }
@@ -236,7 +220,7 @@ TEST(TranscriptDigest, DasSourceTranslator) {
   DasProtocolOptions o;
   o.translator = DasTranslatorSetting::kSource;
   ExpectPinned(
-      "das-source", Das(o),
+      "das-source", RelationRun<DasJoinProtocol>(o),
       "dff2d4ec9c63f7ed75c04d45160ef81dac16b5f3bf03e85859d37453de898ecd",
       "9a5697c354dbeb50582427ca13033bfcfd37af02ef0da121bbace6ed2da70a34");
 }
@@ -245,7 +229,7 @@ TEST(TranscriptDigest, DasMediatorTranslator) {
   DasProtocolOptions o;
   o.translator = DasTranslatorSetting::kMediator;
   ExpectPinned(
-      "das-mediator", Das(o),
+      "das-mediator", RelationRun<DasJoinProtocol>(o),
       "86d7892207c75b04b8dc7a40ddcf252ee918419598512c1f92d547d39f85f4bc",
       "27b68dd8a9bb77c39c32b7a2e286d059a8468165b2ca54ef2f02488f61a6ce5e");
 }
@@ -254,7 +238,7 @@ TEST(TranscriptDigest, DasMediatorTranslator) {
 
 TEST(TranscriptDigest, CommutativeDefault) {
   ExpectPinned(
-      "commutative", Commutative({}),
+      "commutative", RelationRun<CommutativeJoinProtocol>(),
       "0046603d2d84bd85f674cc3b3c0ebd26758c6dbec0412fd9a4f58b89cc1214f9",
       "1149759fd1af196368358f5d6782cb5a2744aa17e67fae88837ac0da92e97535");
 }
@@ -263,7 +247,7 @@ TEST(TranscriptDigest, CommutativeForwardPayloads) {
   CommutativeProtocolOptions o;
   o.forward_payloads = true;
   ExpectPinned(
-      "commutative-forward", Commutative(o),
+      "commutative-forward", RelationRun<CommutativeJoinProtocol>(o),
       "ef3a91479dec1835fecd6fcfd737efe022c7307cb438f58c98e925faef0110d6",
       "7f91f8258901b011ccd74c3dda19c94decbd7d86aea196b152ea19218e12ad2b");
 }
@@ -272,7 +256,7 @@ TEST(TranscriptDigest, CommutativeForwardPayloads) {
 
 TEST(TranscriptDigest, PmDefault) {
   ExpectPinned(
-      "pm", Pm({}),
+      "pm", RelationRun<PmJoinProtocol>(),
       "45fbc73abfabe2600251e2a8a5fb3ee1e23947723d136202a4438aecab957cb8",
       "1189578d2eb509b9a05414693dd207d58d126d66ade6af099e8f70bdfb90ddfb");
 }
@@ -281,7 +265,7 @@ TEST(TranscriptDigest, PmEmbeddedPayloads) {
   PmProtocolOptions o;
   o.session_key_payloads = false;
   ExpectPinned(
-      "pm-embedded", Pm(o),
+      "pm-embedded", RelationRun<PmJoinProtocol>(o),
       "6f6d2e15fd9bdbcbb70a98e94a2a3826a9e8f24cd5ee194e4ed171d6d903855d",
       "47326f2ac3e9038be2a1f5364efbd87fb46b11c43072e21377333f369471f1de",
       NarrowTestbed());
@@ -303,12 +287,7 @@ TEST(TranscriptDigest, AggregateSum) {
 
 TEST(TranscriptDigest, PmIntersection) {
   ExpectUncached(
-      "pm-intersection",
-      [](const std::string& sql, ProtocolContext* ctx) -> Result<Bytes> {
-        PmIntersectionProtocol ix;
-        SECMED_ASSIGN_OR_RETURN(Relation r, ix.Run(sql, ctx));
-        return r.Serialize();
-      },
+      "pm-intersection", RelationRun<PmIntersectionProtocol>(),
       "1983202dae8fcd0d0d18fcf1e60aa49063a7ec9c27a6d2bbfff0d5bbe2a8e336");
 }
 
