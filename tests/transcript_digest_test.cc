@@ -254,13 +254,6 @@ TEST(TranscriptDigest, CommutativeForwardPayloads) {
 
 // ------------------------------------------------------------------- PM --
 
-TEST(TranscriptDigest, PmDefault) {
-  ExpectPinned(
-      "pm", RelationRun<PmJoinProtocol>(),
-      "45fbc73abfabe2600251e2a8a5fb3ee1e23947723d136202a4438aecab957cb8",
-      "1189578d2eb509b9a05414693dd207d58d126d66ade6af099e8f70bdfb90ddfb");
-}
-
 TEST(TranscriptDigest, PmEmbeddedPayloads) {
   PmProtocolOptions o;
   o.session_key_payloads = false;
@@ -271,21 +264,33 @@ TEST(TranscriptDigest, PmEmbeddedPayloads) {
       NarrowTestbed());
 }
 
-// ------------------------------------ Paillier extensions (no cache path) --
+// ------------------------------------------------ Paillier randomizers --
+// The four sessions that PoolEquivalence once ran with the Paillier
+// randomizer pools on and off. These constants were pinned while the
+// pools were still the default path, so each case shows that the inline
+// encrypt loop, now the only one, sends the bytes the pooled path sent.
+// Aggregate COUNT/SUM and PM intersection have no cached path.
 
-TEST(TranscriptDigest, AggregateCount) {
+TEST(PoolEquivalence, PmProtocol) {
+  ExpectPinned(
+      "pm", RelationRun<PmJoinProtocol>(),
+      "45fbc73abfabe2600251e2a8a5fb3ee1e23947723d136202a4438aecab957cb8",
+      "1189578d2eb509b9a05414693dd207d58d126d66ade6af099e8f70bdfb90ddfb");
+}
+
+TEST(PoolEquivalence, AggregateCount) {
   ExpectUncached(
       "agg-count", Aggregate({AggregateFn::kCount, ""}),
       "d3b8668b34578c7935e159b450df723c233fefb1a7aef7170ed14e0b9430756f");
 }
 
-TEST(TranscriptDigest, AggregateSum) {
+TEST(PoolEquivalence, AggregateSum) {
   ExpectUncached(
       "agg-sum", Aggregate({AggregateFn::kSum, "cost"}),
       "d8cc4dfc7ec6b1d0f7b58945d0bc76319882975c85efcd8d0d5bd3bec5a97c4c");
 }
 
-TEST(TranscriptDigest, PmIntersection) {
+TEST(PoolEquivalence, PmIntersection) {
   ExpectUncached(
       "pm-intersection", RelationRun<PmIntersectionProtocol>(),
       "1983202dae8fcd0d0d18fcf1e60aa49063a7ec9c27a6d2bbfff0d5bbe2a8e336");
