@@ -264,6 +264,15 @@ TEST(TranscriptDigest, PmEmbeddedPayloads) {
       NarrowTestbed());
 }
 
+// --------------------------------------------------------- intersection --
+
+TEST(TranscriptDigest, CommutativeIntersection) {
+  ExpectUncached(
+      "commutative-intersection",
+      RelationRun<CommutativeIntersectionProtocol>(),
+      "a26c1a1c94b056f99737613c82f0b26ed68dd5359f460390bd2acb9cda9798f0");
+}
+
 // ------------------------------------------------ Paillier randomizers --
 // The four sessions that PoolEquivalence once ran with the Paillier
 // randomizer pools on and off. These constants were pinned while the
