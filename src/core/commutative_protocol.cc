@@ -1,351 +1,59 @@
 #include "core/commutative_protocol.h"
 
-#include <algorithm>
-#include <map>
-#include <memory>
-
+#include "core/matching.h"
 #include "core/prepared.h"
-#include "crypto/commutative.h"
-#include "crypto/group_params.h"
 #include "crypto/hybrid.h"
-#include "util/parallel.h"
 #include "util/serialize.h"
 
 namespace secmed {
 
 namespace {
-constexpr char kMsgCommMessageSet[] = "comm_message_set";
-constexpr char kMsgCommExchange[] = "comm_exchange";
-constexpr char kMsgCommDoubleEncrypted[] = "comm_double_encrypted";
 constexpr char kMsgCommResult[] = "comm_result";
-
-/// Prepared delivery state of one source (steps 1-3): the commutative
-/// key and the serialized message set minus its source tag. Both are
-/// derived from the entry's prepare RNG, so the key a warm session
-/// double-encrypts with matches the ciphertexts of the cached payload.
-struct PreparedCommDeliver : PreparedValue {
-  CommutativeKey key;
-  Bytes payload;
-  uint32_t entries = 0;
-
-  PreparedCommDeliver(CommutativeKey k, Bytes p, uint32_t n)
-      : key(std::move(k)), payload(std::move(p)), entries(n) {}
-  size_t ByteSize() const override {
-    return payload.size() + 4 * ((key.group().p().BitLength() + 7) / 8);
-  }
-};
 }  // namespace
 
 Result<Relation> CommutativeJoinProtocol::Run(const std::string& sql,
                                               ProtocolContext* ctx) {
   SECMED_ASSIGN_OR_RETURN(RequestState state, RunRequestPhase(sql, ctx));
-  SECMED_ASSIGN_OR_RETURN(QrGroup group, StandardGroup(options_.group_bits));
-  const size_t threads = ResolveThreads(ctx->threads);
   Transport& bus = *ctx->bus;
   const std::string& mediator = ctx->mediator->name();
   const std::string& client = ctx->client->name();
-  const size_t group_bytes = (group.p().BitLength() + 7) / 8;
 
-  // Delivery steps 1-3 at each source: encrypt hash values with a fresh
-  // commutative key, hybrid-encrypt the tuple sets, and send the message
-  // set Mi (hash part + payload ID; footnote-1 mode keeps payloads at the
-  // mediator) together with the encrypted schema metadata.
-  struct SourceState {
-    CommutativeKey key;
-    std::string name;
+  // Steps 1-7: the commutative round; each source hybrid-encrypts its
+  // tuple set Tup_i(a) for the client as the payload of join value a.
+  CommutativeRound round;
+  round.group_bits = options_.group_bits;
+  round.forward_payloads = options_.forward_payloads;
+  round.seal_schema = true;
+  round.deliver_kind = "comm.deliver";
+  round.attach = [&state](uint8_t which, const Bytes&, const Relation& tuples,
+                          RandomSource* rng) {
+    return HybridEncrypt(which == 1 ? state.client_key1 : state.client_key2,
+                         tuples.Serialize(), rng);
   };
-  std::vector<SourceState> source_states;
-  auto source_deliver = [&](const std::string& source, const Relation& rel,
-                            const RsaPublicKey& client_key,
-                            uint8_t which) -> Status {
-    const char* role = which == 1 ? "source1" : "source2";
-    obs::Span span =
-        obs::StartSpan(ctx->obs, role, "delivery", "comm.deliver");
+  SECMED_ASSIGN_OR_RETURN(CommutativeMatch match,
+                          RunCommutativeRound(state, round, ctx));
 
-    // Steps 1-3 as a pure function of (relation, join attrs, group,
-    // client key) and the supplied randomness: generate the commutative
-    // key, encrypt the hashed join values, seal the tuple sets and the
-    // schema, and serialize everything after the source tag.
-    auto compute = [&](RandomSource* rng)
-        -> Result<std::shared_ptr<const PreparedCommDeliver>> {
-      CommutativeKey key = CommutativeKey::Generate(group, rng);
-      SECMED_ASSIGN_OR_RETURN(
-          std::vector<size_t> join_idx,
-          JoinColumnIndexes(rel.schema(), state.plan.join_attributes));
-      std::map<Bytes, Relation> tuple_sets =
-          GroupTuplesByJoinValue(rel, join_idx);
-
-      // One commutative exponentiation plus one hybrid seal per tuple set —
-      // all independent, spread across the thread pool with per-item RNG
-      // forks. Entries afterwards sorted by ciphertext (arbitrary order
-      // independent of the plaintext insertion order).
-      struct DeliverItem {
-        const Bytes* value_enc;
-        const Relation* tuples;
-      };
-      std::vector<DeliverItem> items;
-      items.reserve(tuple_sets.size());
-      for (const auto& [value_enc, tuples] : tuple_sets) {
-        items.push_back(DeliverItem{&value_enc, &tuples});
-      }
-      std::vector<std::unique_ptr<RandomSource>> rngs =
-          ForkN(rng, items.size());
-      std::vector<std::pair<Bytes, Bytes>> entries(  // (f_ei(h(a)), enc(Tup))
-          items.size());
-      std::string loop_label =
-          obs::SpanName(role, "delivery", "comm.encrypt_sets");
-      SECMED_RETURN_IF_ERROR(ParallelForStatus(
-          items.size(), threads, [&](size_t i) -> Status {
-            BigInt hashed = group.HashToGroup(*items[i].value_enc);
-            Bytes cipher = key.Encrypt(hashed).ToBytes(group_bytes);
-            SECMED_ASSIGN_OR_RETURN(
-                Bytes enc_tup, HybridEncrypt(client_key,
-                                             items[i].tuples->Serialize(),
-                                             rngs[i].get()));
-            entries[i] = {std::move(cipher), std::move(enc_tup)};
-            return Status::OK();
-          }, ctx->obs, loop_label.c_str()));
-      std::sort(entries.begin(), entries.end());
-
-      SECMED_ASSIGN_OR_RETURN(
-          Bytes schema_blob,
-          HybridEncrypt(client_key, [&] {
-            BinaryWriter w;
-            rel.schema().EncodeTo(&w);
-            return w.TakeBuffer();
-          }(), rng));
-
-      BinaryWriter w;
-      w.WriteBytes(schema_blob);
-      w.WriteU32(static_cast<uint32_t>(entries.size()));
-      for (const auto& [cipher, enc_tup] : entries) {
-        w.WriteBytes(cipher);
-        w.WriteBytes(enc_tup);
-      }
-      return std::make_shared<const PreparedCommDeliver>(
-          std::move(key), w.TakeBuffer(),
-          static_cast<uint32_t>(entries.size()));
-    };
-
-    std::shared_ptr<const PreparedCommDeliver> prepared;
-    if (ctx->prepared != nullptr) {
-      BinaryWriter mat;
-      mat.WriteU32(static_cast<uint32_t>(options_.group_bits));
-      mat.WriteU32(static_cast<uint32_t>(state.plan.join_attributes.size()));
-      for (const std::string& a : state.plan.join_attributes) {
-        mat.WriteString(a);
-      }
-      mat.WriteBytes(client_key.Serialize());
-      mat.WriteBytes(rel.Serialize());
-      std::string cache_key =
-          PreparedKey("comm.deliver", source,
-                      SourceCatalogVersion(ctx, source), mat.TakeBuffer());
-      SECMED_ASSIGN_OR_RETURN(
-          prepared, GetOrCompute<PreparedCommDeliver>(ctx->prepared,
-                                                      cache_key, compute));
-    } else {
-      SECMED_ASSIGN_OR_RETURN(prepared, compute(ctx->rng));
-    }
-
-    BinaryWriter w;
-    w.WriteU8(which);
-    w.WriteRaw(prepared->payload);
-    bus.Send(source, mediator, kMsgCommMessageSet, w.TakeBuffer());
-    source_states.push_back(SourceState{prepared->key, source});
-    span.AddItems(prepared->entries);
-    return Status::OK();
-  };
-  SECMED_RETURN_IF_ERROR(
-      source_deliver(state.plan.source1, state.r1, state.client_key1, 1));
-  SECMED_RETURN_IF_ERROR(
-      source_deliver(state.plan.source2, state.r2, state.client_key2, 2));
-
-  // Step 4 at the mediator: receive M1, M2; store payloads; exchange the
-  // message sets between the sources. In the optimized mode only
-  // fixed-length IDs travel with the encrypted hash values.
-  struct MediatorEntry {
-    Bytes single_cipher;
-    Bytes enc_tup;
-  };
-  std::vector<std::vector<MediatorEntry>> med_entries(3);  // by `which`
-  std::vector<Bytes> schema_blobs(3);
-  obs::Span exchange_span =
-      obs::StartSpan(ctx->obs, "mediator", "delivery", "comm.exchange");
-  for (int i = 0; i < 2; ++i) {
-    SECMED_ASSIGN_OR_RETURN(Message msg,
-                            bus.ReceiveOfType(mediator, kMsgCommMessageSet));
-    BinaryReader r(msg.payload);
-    SECMED_ASSIGN_OR_RETURN(uint8_t which, r.ReadU8());
-    if (which != 1 && which != 2) {
-      return Status::ProtocolError("bad source tag in message set");
-    }
-    SECMED_ASSIGN_OR_RETURN(schema_blobs[which], r.ReadBytes());
-    SECMED_ASSIGN_OR_RETURN(uint32_t count, r.ReadU32());
-    for (uint32_t k = 0; k < count; ++k) {
-      MediatorEntry e;
-      SECMED_ASSIGN_OR_RETURN(e.single_cipher, r.ReadBytes());
-      SECMED_ASSIGN_OR_RETURN(e.enc_tup, r.ReadBytes());
-      med_entries[which].push_back(std::move(e));
-    }
+  // The matched encrypted tuple-set pairs are the encrypted global result.
+  BinaryWriter w;
+  w.WriteBytes(match.schema1);
+  w.WriteBytes(match.schema2);
+  w.WriteU32(static_cast<uint32_t>(match.pairs.size()));
+  for (const auto& [e1, e2] : match.pairs) {
+    w.WriteBytes(e1);
+    w.WriteBytes(e2);
   }
-  auto forward_to = [&](uint8_t from_which, const std::string& to_source) {
-    BinaryWriter w;
-    w.WriteU8(from_which);
-    w.WriteU32(static_cast<uint32_t>(med_entries[from_which].size()));
-    for (size_t id = 0; id < med_entries[from_which].size(); ++id) {
-      w.WriteBytes(med_entries[from_which][id].single_cipher);
-      if (options_.forward_payloads) {
-        w.WriteBytes(med_entries[from_which][id].enc_tup);
-      } else {
-        w.WriteU64(id);  // fixed-length ID instead of the payload
-      }
-    }
-    bus.Send(mediator, to_source, kMsgCommExchange, w.TakeBuffer());
-  };
-  forward_to(1, state.plan.source2);
-  forward_to(2, state.plan.source1);
-  exchange_span.End();
-
-  // Steps 5/6 at each source: apply the own key on top of the received
-  // single ciphertexts and return the double ciphertexts.
-  auto source_double = [&](const SourceState& ss, const char* role) -> Status {
-    obs::Span span =
-        obs::StartSpan(ctx->obs, role, "delivery", "comm.double_encrypt");
-    SECMED_ASSIGN_OR_RETURN(Message msg,
-                            bus.ReceiveOfType(ss.name, kMsgCommExchange));
-
-    // Double encryption is deterministic in (own exponent, received
-    // message), so the whole reply payload is cacheable as one blob.
-    size_t count_out = 0;
-    auto compute = [&](RandomSource*)
-        -> Result<std::shared_ptr<const PreparedBlob>> {
-      BinaryReader r(msg.payload);
-      SECMED_ASSIGN_OR_RETURN(uint8_t origin, r.ReadU8());
-      SECMED_ASSIGN_OR_RETURN(uint32_t count, r.ReadU32());
-      // Parse serially, exponentiate in parallel (pure compute, no RNG),
-      // serialize serially.
-      std::vector<Bytes> singles(count);
-      std::vector<Bytes> enc_tups(options_.forward_payloads ? count : 0);
-      std::vector<uint64_t> ids(options_.forward_payloads ? 0 : count);
-      for (uint32_t k = 0; k < count; ++k) {
-        SECMED_ASSIGN_OR_RETURN(singles[k], r.ReadBytes());
-        if (options_.forward_payloads) {
-          SECMED_ASSIGN_OR_RETURN(enc_tups[k], r.ReadBytes());
-        } else {
-          SECMED_ASSIGN_OR_RETURN(ids[k], r.ReadU64());
-        }
-      }
-      std::string loop_label =
-          obs::SpanName(role, "delivery", "comm.double_encrypt");
-      std::vector<BigInt> xs(count);
-      for (uint32_t k = 0; k < count; ++k) {
-        xs[k] = BigInt::FromBytes(singles[k]);
-      }
-      std::vector<BigInt> enc =
-          ss.key.EncryptMany(xs, threads, ctx->obs, loop_label.c_str());
-      std::vector<Bytes> doubled(count);
-      for (uint32_t k = 0; k < count; ++k) {
-        doubled[k] = enc[k].ToBytes(group_bytes);
-      }
-      count_out = count;
-      BinaryWriter w;
-      w.WriteU8(origin);
-      w.WriteU32(count);
-      for (uint32_t k = 0; k < count; ++k) {
-        w.WriteBytes(doubled[k]);
-        if (options_.forward_payloads) {
-          w.WriteBytes(enc_tups[k]);
-        } else {
-          w.WriteU64(ids[k]);
-        }
-      }
-      return std::make_shared<const PreparedBlob>(w.TakeBuffer());
-    };
-
-    std::shared_ptr<const PreparedBlob> reply;
-    if (ctx->prepared != nullptr) {
-      BinaryWriter mat;
-      mat.WriteBytes(ss.key.exponent().ToBytes());
-      mat.WriteBytes(msg.payload);
-      std::string cache_key =
-          PreparedKey("comm.double", ss.name,
-                      SourceCatalogVersion(ctx, ss.name), mat.TakeBuffer());
-      SECMED_ASSIGN_OR_RETURN(
-          reply, GetOrCompute<PreparedBlob>(ctx->prepared, cache_key,
-                                            compute));
-    } else {
-      SECMED_ASSIGN_OR_RETURN(reply, compute(nullptr));
-    }
-    span.AddItems(count_out);
-    bus.Send(ss.name, mediator, kMsgCommDoubleEncrypted, reply->bytes);
-    return Status::OK();
-  };
-  for (size_t s = 0; s < source_states.size(); ++s) {
-    SECMED_RETURN_IF_ERROR(
-        source_double(source_states[s], s == 0 ? "source1" : "source2"));
-  }
-
-  // Step 7 at the mediator: match equal double ciphertexts and combine the
-  // corresponding encrypted tuple sets into the encrypted global result.
-  obs::Span match_span =
-      obs::StartSpan(ctx->obs, "mediator", "delivery", "comm.match");
-  std::map<Bytes, std::pair<std::vector<Bytes>, std::vector<Bytes>>> matches;
-  for (int i = 0; i < 2; ++i) {
-    SECMED_ASSIGN_OR_RETURN(
-        Message msg, bus.ReceiveOfType(mediator, kMsgCommDoubleEncrypted));
-    BinaryReader r(msg.payload);
-    SECMED_ASSIGN_OR_RETURN(uint8_t origin, r.ReadU8());
-    SECMED_ASSIGN_OR_RETURN(uint32_t count, r.ReadU32());
-    for (uint32_t k = 0; k < count; ++k) {
-      SECMED_ASSIGN_OR_RETURN(Bytes doubled, r.ReadBytes());
-      Bytes enc_tup;
-      if (options_.forward_payloads) {
-        SECMED_ASSIGN_OR_RETURN(enc_tup, r.ReadBytes());
-      } else {
-        SECMED_ASSIGN_OR_RETURN(uint64_t id, r.ReadU64());
-        if (id >= med_entries[origin].size()) {
-          return Status::ProtocolError("payload ID out of range");
-        }
-        enc_tup = med_entries[origin][id].enc_tup;
-      }
-      auto& slot = matches[doubled];
-      (origin == 1 ? slot.first : slot.second).push_back(std::move(enc_tup));
-    }
-  }
-  BinaryWriter result_writer;
-  result_writer.WriteBytes(schema_blobs[1]);
-  result_writer.WriteBytes(schema_blobs[2]);
-  size_t matched = 0;
-  BinaryWriter pair_writer;
-  for (const auto& [doubled, slot] : matches) {
-    for (const Bytes& e1 : slot.first) {
-      for (const Bytes& e2 : slot.second) {
-        pair_writer.WriteBytes(e1);
-        pair_writer.WriteBytes(e2);
-        ++matched;
-      }
-    }
-  }
-  last_intersection_size_ = matched;
-  result_writer.WriteU32(static_cast<uint32_t>(matched));
-  result_writer.WriteRaw(pair_writer.buffer());
-  bus.Send(mediator, client, kMsgCommResult, result_writer.TakeBuffer());
-  match_span.AddItems(matched);
-  match_span.End();
+  last_intersection_size_ = match.pairs.size();
+  bus.Send(mediator, client, kMsgCommResult, w.TakeBuffer());
 
   // Step 8 at the client: decrypt the tuple-set pairs and construct the
   // join tuples (cross product of each corresponding pair).
   obs::Span decrypt_span = obs::StartSpan(ctx->obs, "client", "post", "decrypt");
   SECMED_ASSIGN_OR_RETURN(Message msg, bus.ReceiveOfType(client, kMsgCommResult));
   BinaryReader r(msg.payload);
-  Schema schema1, schema2;
-  for (int which = 1; which <= 2; ++which) {
-    SECMED_ASSIGN_OR_RETURN(Bytes blob, r.ReadBytes());
-    SECMED_ASSIGN_OR_RETURN(Bytes plain, ClientHybridDecrypt(ctx, blob));
-    BinaryReader sr(plain);
-    SECMED_ASSIGN_OR_RETURN(Schema schema, Schema::DecodeFrom(&sr));
-    (which == 1 ? schema1 : schema2) = std::move(schema);
-  }
+  SECMED_ASSIGN_OR_RETURN(Bytes blob1, r.ReadBytes());
+  SECMED_ASSIGN_OR_RETURN(Bytes blob2, r.ReadBytes());
+  SECMED_ASSIGN_OR_RETURN(Schema schema1, OpenSchema(ctx, blob1));
+  SECMED_ASSIGN_OR_RETURN(Schema schema2, OpenSchema(ctx, blob2));
   SECMED_ASSIGN_OR_RETURN(
       Schema joined_schema,
       JoinedSchema(schema1, schema2, state.plan.join_attributes));

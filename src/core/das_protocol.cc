@@ -124,43 +124,39 @@ Result<Relation> DasJoinProtocol::Run(const std::string& sql,
       span.AddItems(rel.size());
     }
     obs::Span span = obs::StartSpan(ctx->obs, role, "delivery", "das.seal");
-    Bytes blob;
     if (setting == DasTranslatorSetting::kClient) {
-      blob = EncodeItableBlob(d.itables, rel.schema());
+      SECMED_ASSIGN_OR_RETURN(
+          d.sealed_blob,
+          HybridEncrypt(client_key, EncodeItableBlob(d.itables, rel.schema()),
+                        rng));
     } else {
-      BinaryWriter w;
-      rel.schema().EncodeTo(&w);
-      blob = w.TakeBuffer();
+      SECMED_ASSIGN_OR_RETURN(d.sealed_blob,
+                              SealSchema(client_key, rel.schema(), rng));
     }
-    SECMED_ASSIGN_OR_RETURN(d.sealed_blob,
-                            HybridEncrypt(client_key, blob, rng));
     return d;
   };
   auto build = [&](const std::string& source, const Relation& rel,
                    const RsaPublicKey& client_key,
                    const char* role) -> Result<SourceDelivery> {
-    if (ctx->prepared == nullptr) {
-      return build_with(rel, client_key, role, ctx->rng);
-    }
-    BinaryWriter mat;
-    mat.WriteU8(static_cast<uint8_t>(setting));
-    mat.WriteU32(static_cast<uint32_t>(options_.strategy));
-    mat.WriteU32(static_cast<uint32_t>(options_.num_partitions));
-    mat.WriteU32(static_cast<uint32_t>(options_.plaintext_columns.size()));
-    for (const std::string& col : options_.plaintext_columns) {
-      mat.WriteString(col);
-    }
-    mat.WriteU32(static_cast<uint32_t>(join_attrs.size()));
-    for (const std::string& a : join_attrs) mat.WriteString(a);
-    mat.WriteBytes(client_key.Serialize());
-    mat.WriteBytes(rel.Serialize());
-    std::string cache_key = PreparedKey(
-        "das.build", source, SourceCatalogVersion(ctx, source),
-        mat.TakeBuffer());
+    auto material = [&] {
+      BinaryWriter mat;
+      mat.WriteU8(static_cast<uint8_t>(setting));
+      mat.WriteU32(static_cast<uint32_t>(options_.strategy));
+      mat.WriteU32(static_cast<uint32_t>(options_.num_partitions));
+      mat.WriteU32(static_cast<uint32_t>(options_.plaintext_columns.size()));
+      for (const std::string& col : options_.plaintext_columns) {
+        mat.WriteString(col);
+      }
+      mat.WriteU32(static_cast<uint32_t>(join_attrs.size()));
+      for (const std::string& a : join_attrs) mat.WriteString(a);
+      mat.WriteBytes(client_key.Serialize());
+      mat.WriteBytes(rel.Serialize());
+      return mat.TakeBuffer();
+    };
     SECMED_ASSIGN_OR_RETURN(
         std::shared_ptr<const PreparedDasDelivery> entry,
-        GetOrCompute<PreparedDasDelivery>(
-            ctx->prepared, cache_key,
+        PreparedOrCompute<PreparedDasDelivery>(
+            ctx, "das.build", source, material,
             [&](RandomSource* rng)
                 -> Result<std::shared_ptr<const PreparedDasDelivery>> {
               auto e = std::make_shared<PreparedDasDelivery>();
@@ -305,12 +301,9 @@ Result<Relation> DasJoinProtocol::Run(const std::string& sql,
                           bus.ReceiveOfType(client, kMsgDasServerResult));
   BinaryReader r(msg.payload);
   if (setting != DasTranslatorSetting::kClient) {
-    for (int which = 1; which <= 2; ++which) {
+    for (Schema* schema : {&schema1, &schema2}) {
       SECMED_ASSIGN_OR_RETURN(Bytes blob, r.ReadBytes());
-      SECMED_ASSIGN_OR_RETURN(Bytes plain, ClientHybridDecrypt(ctx, blob));
-      BinaryReader sr(plain);
-      SECMED_ASSIGN_OR_RETURN(Schema schema, Schema::DecodeFrom(&sr));
-      (which == 1 ? schema1 : schema2) = std::move(schema);
+      SECMED_ASSIGN_OR_RETURN(*schema, OpenSchema(ctx, blob));
     }
   }
   SECMED_ASSIGN_OR_RETURN(Bytes rc_raw, r.ReadBytes());

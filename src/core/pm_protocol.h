@@ -1,6 +1,7 @@
 #ifndef SECMED_CORE_PM_PROTOCOL_H_
 #define SECMED_CORE_PM_PROTOCOL_H_
 
+#include "core/matching.h"
 #include "core/protocol.h"
 
 namespace secmed {
@@ -37,16 +38,6 @@ struct PmProtocolOptions {
 /// The client receives (encrypted remnants of) both partial results but
 /// can only open the matching part; the mediator learns the polynomial
 /// degrees |domactive(Ri.Ajoin)| (Table 1).
-/// Draws `count` distinct random 64-bit payload-table IDs from `rng`,
-/// redrawing on collision (bounded attempts per ID, then kInternal).
-/// Random — not sequential — IDs keep the mediator from learning the
-/// relative order of join values; redrawing keeps a 64-bit birthday
-/// collision from silently dropping a payload-table entry at the client.
-/// Exposed as a free function so tests can force collisions with a
-/// stubbed RandomSource.
-Result<std::vector<uint64_t>> DrawDistinctPayloadIds(size_t count,
-                                                     RandomSource* rng);
-
 class PmJoinProtocol : public JoinProtocol {
  public:
   explicit PmJoinProtocol(PmProtocolOptions options = {}) : options_(options) {}

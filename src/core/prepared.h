@@ -82,6 +82,11 @@ std::string PreparedDigest(const Bytes& material);
 std::string PreparedKey(const std::string& kind, const std::string& party,
                         uint64_t version, const Bytes& material);
 
+/// Catalog version of the datasource `name` in `ctx` (0 when absent) —
+/// the `version` component for source-keyed prepared entries.
+uint64_t SourceCatalogVersion(const ProtocolContext* ctx,
+                              const std::string& name);
+
 /// Looks up `key`, computing and inserting the value with `compute`
 /// (called with the key's prepare RNG) on a miss. T must derive from
 /// PreparedValue; `compute` returns Result<std::shared_ptr<const T>>.
@@ -104,6 +109,24 @@ Result<std::shared_ptr<const T>> GetOrCompute(PreparedCache* cache,
   return value;
 }
 
+/// A source's prepared value: looked up under PreparedKey(kind, source,
+/// the source's catalog version, material()) when ctx->prepared is
+/// attached, and computed with that key's prepare RNG on a miss; computed
+/// from the session RNG when it is not. `material` is only called on the
+/// cached path, so uncached runs never serialize it.
+template <typename T, typename MaterialFn, typename ComputeFn>
+Result<std::shared_ptr<const T>> PreparedOrCompute(ProtocolContext* ctx,
+                                                   const char* kind,
+                                                   const std::string& source,
+                                                   MaterialFn&& material,
+                                                   ComputeFn&& compute) {
+  if (ctx->prepared == nullptr) return compute(ctx->rng);
+  return GetOrCompute<T>(
+      ctx->prepared,
+      PreparedKey(kind, source, SourceCatalogVersion(ctx, source), material()),
+      std::forward<ComputeFn>(compute));
+}
+
 /// Hybrid-decrypts `blob` with the client's private key, memoizing the
 /// plaintext under the ciphertext digest when ctx->prepared is attached.
 /// Decryption is deterministic, so memoization can never change the
@@ -117,11 +140,6 @@ Result<Bytes> ClientHybridDecrypt(ProtocolContext* ctx, const Bytes& blob);
 /// homomorphic key, memoized under the ciphertext digest.
 Result<Bytes> ClientPaillierDecrypt(ProtocolContext* ctx,
                                     const Bytes& ciphertext);
-
-/// Catalog version of the datasource `name` in `ctx` (0 when absent) —
-/// the `version` component for source-keyed prepared entries.
-uint64_t SourceCatalogVersion(const ProtocolContext* ctx,
-                              const std::string& name);
 
 }  // namespace secmed
 

@@ -1,5 +1,7 @@
 #include "core/protocol.h"
 
+#include "core/prepared.h"
+#include "crypto/hybrid.h"
 #include "util/serialize.h"
 
 namespace secmed {
@@ -151,6 +153,19 @@ std::map<Bytes, Relation> GroupTuplesByJoinValue(
     it->second.AppendUnchecked(t);
   }
   return groups;
+}
+
+Result<Bytes> SealSchema(const RsaPublicKey& client_key, const Schema& schema,
+                         RandomSource* rng) {
+  BinaryWriter w;
+  schema.EncodeTo(&w);
+  return HybridEncrypt(client_key, w.TakeBuffer(), rng);
+}
+
+Result<Schema> OpenSchema(ProtocolContext* ctx, const Bytes& blob) {
+  SECMED_ASSIGN_OR_RETURN(Bytes plain, ClientHybridDecrypt(ctx, blob));
+  BinaryReader r(plain);
+  return Schema::DecodeFrom(&r);
 }
 
 void AppendJoinedCrossProduct(const Relation& tup1, const Relation& tup2,

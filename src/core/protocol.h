@@ -110,6 +110,14 @@ Bytes CompositeJoinKey(const Tuple& tuple, const std::vector<size_t>& indexes);
 std::map<Bytes, Relation> GroupTuplesByJoinValue(
     const Relation& rel, const std::vector<size_t>& indexes);
 
+/// Seals a partial-result schema for the client, which needs it to decode
+/// the tuple sets the sources deliver.
+Result<Bytes> SealSchema(const RsaPublicKey& client_key, const Schema& schema,
+                         RandomSource* rng);
+
+/// Opens a SealSchema blob at the client, memoized through ctx->prepared.
+Result<Schema> OpenSchema(ProtocolContext* ctx, const Bytes& blob);
+
 /// Appends to `out` the pairwise combinations of `tup1` × `tup2`, dropping
 /// the join columns of the second side (client step 8 of Listings 3/4).
 void AppendJoinedCrossProduct(const Relation& tup1, const Relation& tup2,
