@@ -16,12 +16,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <vector>
 
+#include "core/aggregate_protocol.h"
 #include "core/commutative_protocol.h"
 #include "core/das_protocol.h"
+#include "core/intersection_protocol.h"
 #include "core/pm_protocol.h"
 #include "core/testbed.h"
+#include "crypto/drbg.h"
 #include "net/tcp_transport.h"
 #include "util/serialize.h"
 
@@ -171,6 +177,136 @@ TEST_P(TamperResistance, MisroutedMessageFailsCleanly) {
 
 INSTANTIATE_TEST_SUITE_P(Protocols, TamperResistance,
                          ::testing::Values("das", "commutative", "pm"));
+
+// --- Structural fields of the matching rounds ----------------------------
+//
+// The five matching protocols run over core/matching.h's two rounds, whose
+// messages carry a source tag and, in the commutative round, payload IDs.
+// A tag outside {1, 2} or repeated within a message kind, an ID that names
+// no forwarded entry, and an empty opposite polynomial must each fail the
+// run with kProtocolError: never crash, never return a smaller result.
+
+struct RoundTamper {
+  std::string label;
+  const char* type;                    // the first message of this type...
+  std::function<void(Bytes*)> rewrite;  // ...is rewritten in transit
+};
+
+std::vector<RoundTamper> RoundTampers(bool commutative) {
+  std::vector<const char*> tagged =
+      commutative ? std::vector<const char*>{"comm_message_set",
+                                             "comm_exchange",
+                                             "comm_double_encrypted"}
+                  : std::vector<const char*>{"pm_coefficients", "pm_exchange",
+                                             "pm_evaluations"};
+  std::vector<RoundTamper> out;
+  for (const char* type : tagged) {
+    for (int tag : {0, 3, 255}) {
+      out.push_back({std::string(type) + " tag " + std::to_string(tag), type,
+                     [tag](Bytes* p) { (*p)[0] = static_cast<uint8_t>(tag); }});
+    }
+    // 1 <-> 2: a tag of the other source, so one tag arrives twice.
+    out.push_back({std::string(type) + " other tag", type,
+                   [](Bytes* p) { (*p)[0] ^= 3; }});
+  }
+  if (commutative) {
+    // Layout: u8 origin | u32 n | n * (bytes doubled | u64 id).
+    auto id_at = [](const Bytes& p, size_t entry) {
+      BinaryReader r(p);
+      (void)r.ReadU8();
+      (void)r.ReadU32();
+      for (size_t k = 0; k < entry; ++k) {
+        (void)r.ReadBytes();
+        (void)r.ReadU64();
+      }
+      (void)r.ReadBytes();
+      return p.size() - r.remaining();
+    };
+    out.push_back({"out-of-range payload ID", "comm_double_encrypted",
+                   [id_at](Bytes* p) {
+                     std::fill_n(p->begin() + id_at(*p, 0), 8, 0xff);
+                   }});
+    out.push_back({"repeated payload ID", "comm_double_encrypted",
+                   [id_at](Bytes* p) {
+                     std::copy_n(p->begin() + id_at(*p, 0), 8,
+                                 p->begin() + id_at(*p, 1));
+                   }});
+  } else {
+    out.push_back({"zero coefficient count", "pm_exchange", [](Bytes* p) {
+                     BinaryWriter w;
+                     w.WriteU8((*p)[0]);
+                     w.WriteU32(0);
+                     *p = w.TakeBuffer();
+                   }});
+  }
+  return out;
+}
+
+using RoundRun = std::function<Status(const std::string& sql,
+                                      ProtocolContext* ctx)>;
+
+RoundRun RoundProtocol(const std::string& name) {
+  if (name == "commutative") {
+    return [](const std::string& sql, ProtocolContext* ctx) {
+      return CommutativeJoinProtocol({256, false}).Run(sql, ctx).status();
+    };
+  }
+  if (name == "commutative_intersection") {
+    return [](const std::string& sql, ProtocolContext* ctx) {
+      return CommutativeIntersectionProtocol(256).Run(sql, ctx).status();
+    };
+  }
+  if (name == "aggregate") {
+    return [](const std::string& sql, ProtocolContext* ctx) {
+      return AggregateJoinProtocol(256)
+          .Run(sql, {AggregateFn::kCount, ""}, ctx)
+          .status();
+    };
+  }
+  if (name == "pm") {
+    return [](const std::string& sql, ProtocolContext* ctx) {
+      return PmJoinProtocol().Run(sql, ctx).status();
+    };
+  }
+  return [](const std::string& sql, ProtocolContext* ctx) {
+    return PmIntersectionProtocol().Run(sql, ctx).status();
+  };
+}
+
+class RoundFieldTamper : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(RoundFieldTamper, FailsWithProtocolError) {
+  MediationTestbed::Options opt;
+  opt.seed_label = "round-fields";
+  auto tb_or = MediationTestbed::Create(TinyWorkload(), opt);
+  ASSERT_TRUE(tb_or.ok()) << tb_or.status().ToString();
+  MediationTestbed& tb = **tb_or;
+  const RoundRun run = RoundProtocol(GetParam());
+  const bool commutative = GetParam().rfind("pm", 0) != 0;
+  for (const RoundTamper& tamper : RoundTampers(commutative)) {
+    NetworkBus bus;
+    HmacDrbg rng(ToBytes("round-fields/" + GetParam()));
+    bool fired = false;
+    bus.SetTamperHook([&](Message* msg) {
+      if (fired || msg->type != tamper.type) return;
+      tamper.rewrite(&msg->payload);
+      fired = true;
+    });
+    ProtocolContext ctx = tb.SessionContext(&bus, &rng);
+    Status status = run(tb.JoinSql(), &ctx);
+    ASSERT_TRUE(fired) << tamper.label << ": no " << tamper.type << " message";
+    EXPECT_EQ(status.code(), StatusCode::kProtocolError)
+        << tamper.label << ": " << status.ToString();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rounds, RoundFieldTamper,
+    ::testing::Values("commutative", "commutative_intersection", "aggregate",
+                      "pm", "pm_intersection"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
 
 // Deserializers must reject random garbage without crashing.
 TEST(FuzzishDeserializeTest, RandomBytesRejectedGracefully) {

@@ -8,11 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "core/aggregate_protocol.h"
+#include "core/commutative_protocol.h"
+#include "core/intersection_protocol.h"
+#include "core/pm_protocol.h"
 #include "core/remote.h"
 #include "core/testbed.h"
+#include "crypto/drbg.h"
 #include "service/prepared_registry.h"
 #include "service/query_service.h"
 
@@ -253,6 +259,70 @@ TEST_P(ServiceCacheTest, ResultDigestIsThePlaintextJoinDigest) {
     EXPECT_EQ(out->result_digest, want) << pass;
   }
   EXPECT_GT(service.cache().Stats().hits, 0u);
+}
+
+// A join, an aggregate and an intersection over one query build the same
+// delivery material: join attributes, keys and relation. Each payload
+// format has its own cache kind, so one registry serves all of them
+// without one protocol shipping another's cached payloads.
+TEST(ServiceCacheKinds, MatchingProtocolsShareOneRegistry) {
+  Workload w = CacheWorkload();
+  std::vector<Column> cols = w.r2.schema().columns();
+  cols.push_back({"cost", ValueType::kInt64});
+  Relation r2{Schema(std::move(cols))};
+  int64_t cost = -5;
+  for (Tuple t : w.r2.tuples()) {
+    t.push_back(Value::Int(cost));
+    cost += 7;
+    r2.AppendUnchecked(std::move(t));
+  }
+  w.r2 = std::move(r2);
+  auto tb_or = MediationTestbed::Create(w);
+  ASSERT_TRUE(tb_or.ok()) << tb_or.status().ToString();
+  MediationTestbed& tb = **tb_or;
+  const Relation expected = tb.ExpectedJoin();
+  const size_t cost_col = expected.schema().IndexOf("cost").value();
+  const size_t join_col = expected.schema().IndexOf("ajoin").value();
+  int64_t expected_sum = 0;
+  std::set<int64_t> expected_values;
+  for (const Tuple& t : expected.tuples()) {
+    expected_sum += t[cost_col].as_int();
+    expected_values.insert(t[join_col].as_int());
+  }
+  auto values_of = [](const Relation& r) {
+    std::set<int64_t> values;
+    for (const Tuple& t : r.tuples()) values.insert(t[0].as_int());
+    return values;
+  };
+
+  PreparedDatasetRegistry reg = MakeRegistry();
+  for (const char* pass : {"cold", "warm"}) {
+    SCOPED_TRACE(pass);
+    NetworkBus bus;
+    HmacDrbg rng(ToBytes(std::string("cache-kinds/") + pass));
+    ProtocolContext ctx = tb.SessionContext(&bus, &rng);
+    ctx.prepared = &reg;
+    auto comm = CommutativeJoinProtocol({256, false}).Run(tb.JoinSql(), &ctx);
+    ASSERT_TRUE(comm.ok()) << comm.status().ToString();
+    EXPECT_TRUE(comm->EqualsAsBag(expected));
+    AggregateJoinProtocol agg(256);
+    auto count = agg.Run(tb.JoinSql(), {AggregateFn::kCount, ""}, &ctx);
+    ASSERT_TRUE(count.ok()) << count.status().ToString();
+    EXPECT_EQ(*count, static_cast<int64_t>(expected.size()));
+    auto sum = agg.Run(tb.JoinSql(), {AggregateFn::kSum, "cost"}, &ctx);
+    ASSERT_TRUE(sum.ok()) << sum.status().ToString();
+    EXPECT_EQ(*sum, expected_sum);
+    auto comm_ix = CommutativeIntersectionProtocol(256).Run(tb.JoinSql(), &ctx);
+    ASSERT_TRUE(comm_ix.ok()) << comm_ix.status().ToString();
+    EXPECT_EQ(values_of(*comm_ix), expected_values);
+    auto pm = PmJoinProtocol().Run(tb.JoinSql(), &ctx);
+    ASSERT_TRUE(pm.ok()) << pm.status().ToString();
+    EXPECT_TRUE(pm->EqualsAsBag(expected));
+    auto pm_ix = PmIntersectionProtocol().Run(tb.JoinSql(), &ctx);
+    ASSERT_TRUE(pm_ix.ok()) << pm_ix.status().ToString();
+    EXPECT_EQ(values_of(*pm_ix), expected_values);
+  }
+  EXPECT_GT(reg.Stats().hits, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllProtocols, ServiceCacheTest,

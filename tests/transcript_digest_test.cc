@@ -270,15 +270,18 @@ TEST(TranscriptDigest, CommutativeIntersection) {
   ExpectUncached(
       "commutative-intersection",
       RelationRun<CommutativeIntersectionProtocol>(),
-      "a26c1a1c94b056f99737613c82f0b26ed68dd5359f460390bd2acb9cda9798f0");
+      "557e9826d9ab459398961b9c49b8ceaaa5567e96dddd3ad97ed7d0916c59ca73");
 }
 
 // ------------------------------------------------ Paillier randomizers --
 // The four sessions that PoolEquivalence once ran with the Paillier
-// randomizer pools on and off. These constants were pinned while the
-// pools were still the default path, so each case shows that the inline
-// encrypt loop, now the only one, sends the bytes the pooled path sent.
-// Aggregate COUNT/SUM and PM intersection have no cached path.
+// randomizer pools on and off, under their old names. The PmProtocol
+// constants date from the pools: the inline encrypt loop, now the only
+// one, sends the bytes the pooled path sent. The other three were
+// re-pinned when the aggregate and the PM intersection moved onto the
+// shared matching rounds (core/matching.h) and took over their messages.
+// Their cached paths are checked against the plaintext in
+// tests/service_cache_test.cc.
 
 TEST(PoolEquivalence, PmProtocol) {
   ExpectPinned(
@@ -290,19 +293,19 @@ TEST(PoolEquivalence, PmProtocol) {
 TEST(PoolEquivalence, AggregateCount) {
   ExpectUncached(
       "agg-count", Aggregate({AggregateFn::kCount, ""}),
-      "d3b8668b34578c7935e159b450df723c233fefb1a7aef7170ed14e0b9430756f");
+      "c4dd7a2066e12f231c4ec227aecf09e8f908185ffe016141fdaf633f12d5111c");
 }
 
 TEST(PoolEquivalence, AggregateSum) {
   ExpectUncached(
       "agg-sum", Aggregate({AggregateFn::kSum, "cost"}),
-      "d8cc4dfc7ec6b1d0f7b58945d0bc76319882975c85efcd8d0d5bd3bec5a97c4c");
+      "1104160ebcee1781befe03870d3ef4a32e7b483c66f25101eaae603db9f498e6");
 }
 
 TEST(PoolEquivalence, PmIntersection) {
   ExpectUncached(
       "pm-intersection", RelationRun<PmIntersectionProtocol>(),
-      "1983202dae8fcd0d0d18fcf1e60aa49063a7ec9c27a6d2bbfff0d5bbe2a8e336");
+      "128501666e1973f474942129869d26093a3b5c3f880ef9fb54300e321cd580c6");
 }
 
 }  // namespace
