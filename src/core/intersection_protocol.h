@@ -28,9 +28,9 @@ class IntersectionProtocol {
                                ProtocolContext* ctx) = 0;
 };
 
-/// Intersection via commutative encryption: each source ships
-/// <f_ei(h(a)), encrypt(a)>; the mediator matches double ciphertexts and
-/// returns the matched encrypted values to the client.
+/// Intersection via commutative encryption: each source ships f_ei(h(a)),
+/// source 1 with encrypt(a); the mediator matches double ciphertexts and
+/// returns source 1's matched encrypted values to the client.
 class CommutativeIntersectionProtocol : public IntersectionProtocol {
  public:
   explicit CommutativeIntersectionProtocol(size_t group_bits = 512)

@@ -312,11 +312,10 @@ Result<CommutativeMatch> RunCommutativeRound(const RequestState& state,
       SECMED_ASSIGN_OR_RETURN(uint32_t count, r.ReadU32());
       // Parse serially, exponentiate in parallel (pure compute, no RNG),
       // serialize serially.
-      const size_t expected = std::min<size_t>(count, r.remaining());
       std::vector<BigInt> singles;
       std::vector<Bytes> payloads;
       std::vector<uint64_t> ids;
-      singles.reserve(expected);
+      singles.reserve(std::min<size_t>(count, r.remaining()));
       for (uint32_t k = 0; k < count; ++k) {
         SECMED_ASSIGN_OR_RETURN(Bytes single, r.ReadBytes());
         singles.push_back(BigInt::FromBytes(single));
@@ -639,7 +638,6 @@ Result<PmOpened> RunPmRound(const RequestState& state, const PmRound& round,
       mat.WriteU8(round.session_keys ? 1 : 0);
       WriteJoinAttributes(&mat, join_attrs);
       mat.WriteBytes(src.rel.Serialize());
-      mat.WriteRaw(round.payload_material);
       return mat.TakeBuffer();
     };
     SECMED_ASSIGN_OR_RETURN(

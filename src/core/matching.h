@@ -88,10 +88,8 @@ struct PmRound {
   /// evaluations (steps 5-6); one pair per payload format.
   const char* coeffs_kind = nullptr;
   const char* evaluate_kind = nullptr;
-  /// Payload inputs beyond the relation, the join attributes and the keys;
-  /// appended to the evaluations' cache material.
-  Bytes payload_material;
-  /// The payload each source attaches to a join value (step 6).
+  /// The payload each source attaches to a join value (step 6); a pure
+  /// function of the join value and its tuple set.
   AttachFn attach;
   /// Type of the mediator's message carrying the evaluations to the
   /// client (step 7).
