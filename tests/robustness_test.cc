@@ -300,13 +300,11 @@ TEST_P(RoundFieldTamper, FailsWithProtocolError) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Rounds, RoundFieldTamper,
-    ::testing::Values("commutative", "commutative_intersection", "aggregate",
-                      "pm", "pm_intersection"),
-    [](const ::testing::TestParamInfo<std::string>& info) {
-      return info.param;
-    });
+INSTANTIATE_TEST_SUITE_P(Rounds, RoundFieldTamper,
+                         ::testing::Values("commutative",
+                                           "commutative_intersection",
+                                           "aggregate", "pm",
+                                           "pm_intersection"));
 
 // Deserializers must reject random garbage without crashing.
 TEST(FuzzishDeserializeTest, RandomBytesRejectedGracefully) {
