@@ -19,102 +19,25 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "core/aggregate_protocol.h"
 #include "core/commutative_protocol.h"
 #include "core/das_protocol.h"
 #include "core/intersection_protocol.h"
 #include "core/pm_protocol.h"
-#include "core/testbed.h"
-#include "crypto/drbg.h"
 #include "crypto/sha256.h"
-#include "service/prepared_registry.h"
+#include "pinned_sessions.h"
 #include "util/serialize.h"
 
 namespace secmed {
 namespace {
 
-// Small enough for a fast suite, large enough that every delivery loop
-// runs several items and the DAS partitioner builds several buckets.
-Workload DigestWorkload() {
-  WorkloadConfig cfg;
-  cfg.r1_tuples = 28;
-  cfg.r2_tuples = 22;
-  cfg.r1_domain = 11;
-  cfg.r2_domain = 9;
-  cfg.common_values = 5;
-  cfg.r1_extra_columns = 2;
-  cfg.r2_extra_columns = 1;
-  cfg.seed = 911;
-  Workload w = GenerateWorkload(cfg);
-  // An integer "cost" column on r2 for the SUM aggregate.
-  std::vector<Column> cols = w.r2.schema().columns();
-  cols.push_back({"cost", ValueType::kInt64});
-  Relation r2{Schema(std::move(cols))};
-  int64_t v = -5;
-  for (const Tuple& t : w.r2.tuples()) {
-    Tuple nt = t;
-    nt.push_back(Value::Int(v));
-    v += 7;
-    r2.AppendUnchecked(std::move(nt));
-  }
-  w.r2 = std::move(r2);
-  return w;
-}
-
-// One tuple per join value and no payload columns: every tuple set fits
-// in the Paillier plaintext, as PM without session keys requires.
-Workload NarrowWorkload() {
-  WorkloadConfig cfg;
-  cfg.r1_tuples = 12;
-  cfg.r2_tuples = 10;
-  cfg.r1_domain = 12;
-  cfg.r2_domain = 10;
-  cfg.common_values = 4;
-  cfg.r1_extra_columns = 0;
-  cfg.r2_extra_columns = 0;
-  cfg.seed = 912;
-  return GenerateWorkload(cfg);
-}
-
-MediationTestbed* MakeTestbed(const Workload& w) {
-  MediationTestbed::Options opt;
-  opt.seed_label = "transcript-digest";
-  auto t = MediationTestbed::Create(w, opt);
-  if (!t.ok()) {
-    ADD_FAILURE() << t.status().ToString();
-    std::abort();
-  }
-  return std::move(t).value().release();
-}
-
-/// Testbeds (keys, credentials, parties) shared by the whole file.
-MediationTestbed& SharedTestbed() {
-  static MediationTestbed* tb = MakeTestbed(DigestWorkload());
-  return *tb;
-}
-
-MediationTestbed& NarrowTestbed() {
-  static MediationTestbed* tb = MakeTestbed(NarrowWorkload());
-  return *tb;
-}
-
-/// Runs one protocol over `ctx` and returns its serialized result.
-using RunFn = std::function<Result<Bytes>(const std::string& sql,
-                                          ProtocolContext* ctx)>;
-
-/// Runs protocol P, constructed from `args`, and serializes its relation.
-template <typename P, typename... Args>
-RunFn RelationRun(Args... args) {
-  return [=](const std::string& sql, ProtocolContext* ctx) -> Result<Bytes> {
-    P protocol(args...);
-    SECMED_ASSIGN_OR_RETURN(Relation r, protocol.Run(sql, ctx));
-    return r.Serialize();
-  };
-}
+using pinned::MakeRegistry;
+using pinned::NarrowTestbed;
+using pinned::RelationRun;
+using pinned::RunFn;
+using pinned::SharedTestbed;
 
 RunFn Aggregate(JoinAggregateSpec spec) {
   return [spec](const std::string& sql, ProtocolContext* ctx) -> Result<Bytes> {
@@ -127,17 +50,13 @@ RunFn Aggregate(JoinAggregateSpec spec) {
 }
 
 /// Hex SHA-256 of one session of `run`: transcript in send order, then
-/// the serialized result. Fresh bus and session RNG per call, so the
-/// digest depends only on the variant, never on the order tests run in.
+/// the serialized result.
 std::string SessionDigest(MediationTestbed& tb, const std::string& variant,
                           const RunFn& run, size_t threads,
                           PreparedCache* cache) {
   NetworkBus bus;
-  HmacDrbg rng(ToBytes("transcript-digest/" + variant));
-  ProtocolContext ctx = tb.SessionContext(&bus, &rng);
-  ctx.threads = threads;
-  ctx.prepared = cache;
-  Result<Bytes> result = run(tb.JoinSql(), &ctx);
+  Result<Bytes> result =
+      pinned::RunSession(tb, variant, run, threads, cache, &bus);
   if (!result.ok()) {
     ADD_FAILURE() << variant << ": " << result.status().ToString();
     return "";
@@ -151,13 +70,6 @@ std::string SessionDigest(MediationTestbed& tb, const std::string& variant,
   }
   w.WriteBytes(result.value());
   return HexEncode(Sha256::Hash(w.TakeBuffer()));
-}
-
-PreparedDatasetRegistry MakeRegistry() {
-  PreparedDatasetRegistry::Options opt;
-  opt.max_bytes = 0;  // unlimited: the warm session must hit every entry
-  opt.label = "transcript-digest";
-  return PreparedDatasetRegistry(opt);
 }
 
 /// The uncached digest at 1 and 4 threads.
