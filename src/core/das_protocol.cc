@@ -218,11 +218,13 @@ Result<Relation> DasJoinProtocol::Run(const std::string& sql,
   Bytes sealed1, sealed2;
   obs::Span route_span =
       obs::StartSpan(ctx->obs, "mediator", "delivery", "das.route");
+  bool result_tags[3] = {};
   for (int i = 0; i < 2; ++i) {
     SECMED_ASSIGN_OR_RETURN(Message msg,
                             bus.ReceiveOfType(mediator, kMsgDasEncryptedResult));
     BinaryReader r(msg.payload);
-    SECMED_ASSIGN_OR_RETURN(uint8_t which, r.ReadU8());
+    SECMED_ASSIGN_OR_RETURN(
+        uint8_t which, ReadSourceTag(&r, result_tags, kMsgDasEncryptedResult));
     SECMED_ASSIGN_OR_RETURN(Bytes rel_raw, r.ReadBytes());
     SECMED_ASSIGN_OR_RETURN(Bytes sealed, r.ReadBytes());
     SECMED_ASSIGN_OR_RETURN(Bytes clear_itables, r.ReadBytes());
@@ -256,11 +258,13 @@ Result<Relation> DasJoinProtocol::Run(const std::string& sql,
     obs::Span span =
         obs::StartSpan(ctx->obs, "client", "delivery", "das.translate");
     std::vector<IndexTable> itables1, itables2;
+    bool itable_tags[3] = {};
     for (int i = 0; i < 2; ++i) {
       SECMED_ASSIGN_OR_RETURN(Message msg,
                               bus.ReceiveOfType(client, kMsgDasIndexTable));
       BinaryReader r(msg.payload);
-      SECMED_ASSIGN_OR_RETURN(uint8_t which, r.ReadU8());
+      SECMED_ASSIGN_OR_RETURN(
+          uint8_t which, ReadSourceTag(&r, itable_tags, kMsgDasIndexTable));
       SECMED_ASSIGN_OR_RETURN(Bytes blob, r.ReadBytes());
       SECMED_ASSIGN_OR_RETURN(Bytes plain, ClientHybridDecrypt(ctx, blob));
       Schema* schema = which == 1 ? &schema1 : &schema2;

@@ -49,22 +49,6 @@ Source SourceOf(const RequestState& state, uint8_t which) {
   return {2, "source2", state.plan.source2, state.r2, state.client_key2};
 }
 
-/// Reads a source tag; it must be 1 or 2 and new to `seen`, which tracks
-/// one message kind.
-Result<uint8_t> ReadSourceTag(BinaryReader* r, bool (&seen)[3],
-                              const char* kind) {
-  SECMED_ASSIGN_OR_RETURN(uint8_t tag, r->ReadU8());
-  if (tag != 1 && tag != 2) {
-    return Status::ProtocolError(std::string("bad source tag in ") + kind);
-  }
-  if (seen[tag]) {
-    return Status::ProtocolError(std::string("repeated source tag in ") +
-                                 kind);
-  }
-  seen[tag] = true;
-  return tag;
-}
-
 /// A join value with its tuple set, in value order.
 struct ValueItem {
   const Bytes* value;

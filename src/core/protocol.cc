@@ -168,6 +168,20 @@ Result<Schema> OpenSchema(ProtocolContext* ctx, const Bytes& blob) {
   return Schema::DecodeFrom(&r);
 }
 
+Result<uint8_t> ReadSourceTag(BinaryReader* r, bool (&seen)[3],
+                              const char* kind) {
+  SECMED_ASSIGN_OR_RETURN(uint8_t tag, r->ReadU8());
+  if (tag != 1 && tag != 2) {
+    return Status::ProtocolError(std::string("bad source tag in ") + kind);
+  }
+  if (seen[tag]) {
+    return Status::ProtocolError(std::string("repeated source tag in ") +
+                                 kind);
+  }
+  seen[tag] = true;
+  return tag;
+}
+
 void AppendJoinedCrossProduct(const Relation& tup1, const Relation& tup2,
                               const std::vector<size_t>& j2, Relation* out) {
   std::vector<bool> drop(tup2.schema().size(), false);

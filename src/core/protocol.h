@@ -15,6 +15,7 @@
 
 namespace secmed {
 
+class BinaryReader;   // util/serialize.h
 class PreparedCache;  // core/prepared.h
 
 /// The parties and infrastructure a protocol run executes over.
@@ -117,6 +118,12 @@ Result<Bytes> SealSchema(const RsaPublicKey& client_key, const Schema& schema,
 
 /// Opens a SealSchema blob at the client, memoized through ctx->prepared.
 Result<Schema> OpenSchema(ProtocolContext* ctx, const Bytes& blob);
+
+/// Reads the source tag of a per-source message; it must be 1 or 2 and
+/// new to `seen`, which tracks one message kind (index 0 unused). Fails
+/// with kProtocolError otherwise.
+Result<uint8_t> ReadSourceTag(BinaryReader* r, bool (&seen)[3],
+                              const char* kind);
 
 /// Appends to `out` the pairwise combinations of `tup1` × `tup2`, dropping
 /// the join columns of the second side (client step 8 of Listings 3/4).

@@ -181,10 +181,12 @@ INSTANTIATE_TEST_SUITE_P(Protocols, TamperResistance,
 // --- Structural fields of the matching rounds ----------------------------
 //
 // The five matching protocols run over core/matching.h's two rounds, whose
-// messages carry a source tag and, in the commutative round, payload IDs.
-// A tag outside {1, 2} or repeated within a message kind, an ID that names
-// no forwarded entry, and an empty opposite polynomial must each fail the
-// run with kProtocolError: never crash, never return a smaller result.
+// messages carry a source tag and, in the commutative round, payload IDs;
+// DAS's encrypted results and forwarded index tables carry a source tag
+// too. A tag outside {1, 2} or repeated within a message kind, an ID that
+// names no forwarded entry, and an empty opposite polynomial must each
+// fail the run with kProtocolError: never crash, never return a smaller
+// result.
 
 struct RoundTamper {
   std::string label;
@@ -192,13 +194,16 @@ struct RoundTamper {
   std::function<void(Bytes*)> rewrite;  // ...is rewritten in transit
 };
 
-std::vector<RoundTamper> RoundTampers(bool commutative) {
+std::vector<RoundTamper> RoundTampers(const std::string& protocol) {
+  const bool das = protocol == "das";
+  const bool commutative = !das && protocol.rfind("pm", 0) != 0;
   std::vector<const char*> tagged =
-      commutative ? std::vector<const char*>{"comm_message_set",
-                                             "comm_exchange",
-                                             "comm_double_encrypted"}
-                  : std::vector<const char*>{"pm_coefficients", "pm_exchange",
-                                             "pm_evaluations"};
+      das ? std::vector<const char*>{"das_encrypted_result", "das_index_table"}
+      : commutative ? std::vector<const char*>{"comm_message_set",
+                                               "comm_exchange",
+                                               "comm_double_encrypted"}
+                    : std::vector<const char*>{"pm_coefficients",
+                                               "pm_exchange", "pm_evaluations"};
   std::vector<RoundTamper> out;
   for (const char* type : tagged) {
     for (int tag : {0, 3, 255}) {
@@ -231,7 +236,7 @@ std::vector<RoundTamper> RoundTampers(bool commutative) {
                      std::copy_n(p->begin() + id_at(*p, 0), 8,
                                  p->begin() + id_at(*p, 1));
                    }});
-  } else {
+  } else if (!das) {
     out.push_back({"zero coefficient count", "pm_exchange", [](Bytes* p) {
                      BinaryWriter w;
                      w.WriteU8((*p)[0]);
@@ -268,6 +273,11 @@ RoundRun RoundProtocol(const std::string& name) {
       return PmJoinProtocol().Run(sql, ctx).status();
     };
   }
+  if (name == "das") {
+    return [](const std::string& sql, ProtocolContext* ctx) {
+      return DasJoinProtocol().Run(sql, ctx).status();
+    };
+  }
   return [](const std::string& sql, ProtocolContext* ctx) {
     return PmIntersectionProtocol().Run(sql, ctx).status();
   };
@@ -282,8 +292,7 @@ TEST_P(RoundFieldTamper, FailsWithProtocolError) {
   ASSERT_TRUE(tb_or.ok()) << tb_or.status().ToString();
   MediationTestbed& tb = **tb_or;
   const RoundRun run = RoundProtocol(GetParam());
-  const bool commutative = GetParam().rfind("pm", 0) != 0;
-  for (const RoundTamper& tamper : RoundTampers(commutative)) {
+  for (const RoundTamper& tamper : RoundTampers(GetParam())) {
     NetworkBus bus;
     HmacDrbg rng(ToBytes("round-fields/" + GetParam()));
     bool fired = false;
@@ -304,7 +313,7 @@ INSTANTIATE_TEST_SUITE_P(Rounds, RoundFieldTamper,
                          ::testing::Values("commutative",
                                            "commutative_intersection",
                                            "aggregate", "pm",
-                                           "pm_intersection"));
+                                           "pm_intersection", "das"));
 
 // Deserializers must reject random garbage without crashing.
 TEST(FuzzishDeserializeTest, RandomBytesRejectedGracefully) {
