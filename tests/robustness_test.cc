@@ -283,18 +283,20 @@ RoundRun RoundProtocol(const std::string& name) {
   };
 }
 
-class RoundFieldTamper : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(RoundFieldTamper, FailsWithProtocolError) {
+// Runs `protocol` once per tamper over a testbed seeded from `label`,
+// rewriting the first message of the tamper's type, and expects every
+// run to fail with kProtocolError.
+void ExpectProtocolErrors(const Workload& w, const std::string& label,
+                          const std::string& protocol, const RoundRun& run,
+                          const std::vector<RoundTamper>& tampers) {
   MediationTestbed::Options opt;
-  opt.seed_label = "round-fields";
-  auto tb_or = MediationTestbed::Create(TinyWorkload(), opt);
+  opt.seed_label = label;
+  auto tb_or = MediationTestbed::Create(w, opt);
   ASSERT_TRUE(tb_or.ok()) << tb_or.status().ToString();
   MediationTestbed& tb = **tb_or;
-  const RoundRun run = RoundProtocol(GetParam());
-  for (const RoundTamper& tamper : RoundTampers(GetParam())) {
+  for (const RoundTamper& tamper : tampers) {
     NetworkBus bus;
-    HmacDrbg rng(ToBytes("round-fields/" + GetParam()));
+    HmacDrbg rng(ToBytes(label + "/" + protocol));
     bool fired = false;
     bus.SetTamperHook([&](Message* msg) {
       if (fired || msg->type != tamper.type) return;
@@ -309,11 +311,106 @@ TEST_P(RoundFieldTamper, FailsWithProtocolError) {
   }
 }
 
+class RoundFieldTamper : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(RoundFieldTamper, FailsWithProtocolError) {
+  ExpectProtocolErrors(TinyWorkload(), "round-fields", GetParam(),
+                       RoundProtocol(GetParam()), RoundTampers(GetParam()));
+}
+
 INSTANTIATE_TEST_SUITE_P(Rounds, RoundFieldTamper,
                          ::testing::Values("commutative",
                                            "commutative_intersection",
                                            "aggregate", "pm",
                                            "pm_intersection", "das"));
+
+// --- A mediator that rewrites its result message -------------------------
+//
+// The mediator computes the matches, so it could re-pair or repeat them
+// in its result message. The sources' sealing keeps it from altering
+// what it pairs, and the client checks the pairing itself: the
+// commutative join's client rejects a pair whose tuple sets carry
+// different join values and a tuple set in two pairs. Each rewrite below
+// would otherwise return wrong rows with an OK status. A dropped match is
+// still not detected.
+
+// The workload of the pairing probes: its plaintext join has 31 rows.
+Workload ProbeWorkload() {
+  WorkloadConfig cfg;
+  cfg.r1_tuples = 20;
+  cfg.r2_tuples = 16;
+  cfg.r1_domain = 6;
+  cfg.r2_domain = 5;
+  cfg.common_values = 3;
+  cfg.seed = 77;
+  return GenerateWorkload(cfg);
+}
+
+// comm_result: bytes schema1 | bytes schema2 | u32 n | n * (bytes, bytes).
+struct CommResult {
+  Bytes schema1, schema2;
+  std::vector<std::pair<Bytes, Bytes>> pairs;
+
+  static CommResult Parse(const Bytes& p) {
+    BinaryReader r(p);
+    CommResult c;
+    c.schema1 = r.ReadBytes().value();
+    c.schema2 = r.ReadBytes().value();
+    const uint32_t n = r.ReadU32().value();
+    for (uint32_t k = 0; k < n; ++k) {
+      Bytes e1 = r.ReadBytes().value();
+      c.pairs.emplace_back(std::move(e1), r.ReadBytes().value());
+    }
+    return c;
+  }
+
+  Bytes Serialize() const {
+    BinaryWriter w;
+    w.WriteBytes(schema1);
+    w.WriteBytes(schema2);
+    w.WriteU32(static_cast<uint32_t>(pairs.size()));
+    for (const auto& [e1, e2] : pairs) {
+      w.WriteBytes(e1);
+      w.WriteBytes(e2);
+    }
+    return w.TakeBuffer();
+  }
+};
+
+std::vector<RoundTamper> ResultRewrites(const std::string&) {
+  return {
+      {"second payloads of two pairs swapped", "comm_result",
+       [](Bytes* p) {
+         CommResult c = CommResult::Parse(*p);
+         std::swap(c.pairs[0].second, c.pairs[1].second);
+         *p = c.Serialize();
+       }},
+      {"repeated pair", "comm_result",
+       [](Bytes* p) {
+         CommResult c = CommResult::Parse(*p);
+         c.pairs.push_back(c.pairs.front());
+         *p = c.Serialize();
+       }},
+  };
+}
+
+RoundRun ResultProtocol(const std::string& name) {
+  const bool forward = name == "commutative_forward";
+  return [forward](const std::string& sql, ProtocolContext* ctx) {
+    return CommutativeJoinProtocol({256, forward}).Run(sql, ctx).status();
+  };
+}
+
+class MediatorRewrite : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(MediatorRewrite, FailsWithProtocolError) {
+  ExpectProtocolErrors(ProbeWorkload(), "mediator-rewrite", GetParam(),
+                       ResultProtocol(GetParam()), ResultRewrites(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Results, MediatorRewrite,
+                         ::testing::Values("commutative",
+                                           "commutative_forward"));
 
 // Deserializers must reject random garbage without crashing.
 TEST(FuzzishDeserializeTest, RandomBytesRejectedGracefully) {
