@@ -1,6 +1,7 @@
 #include "core/das_protocol.h"
 
 #include "core/prepared.h"
+#include "crypto/aead.h"
 #include "crypto/hybrid.h"
 #include "das/das_relation.h"
 #include "das/index_table.h"
@@ -44,11 +45,42 @@ Status DecodeItableBlob(const Bytes& blob, Schema* schema,
   return Status::OK();
 }
 
-// Per-source delivery state computed by BuildSourceDelivery.
+// What one source seals for the client, and the only place its etuple
+// key travels: the key, then the itable blob (index tables in the client
+// setting, none otherwise).
+struct SourceSecrets {
+  Bytes etuple_key;
+  Schema schema;
+  std::vector<IndexTable> itables;
+};
+
+Result<Bytes> SealSourceSecrets(const RsaPublicKey& client_key,
+                                const SourceSecrets& secrets,
+                                RandomSource* rng) {
+  BinaryWriter w;
+  w.WriteBytes(secrets.etuple_key);
+  w.WriteRaw(EncodeItableBlob(secrets.itables, secrets.schema));
+  return HybridEncrypt(client_key, w.TakeBuffer(), rng);
+}
+
+// Opens a SealSourceSecrets blob, memoized through ctx->prepared.
+Result<SourceSecrets> OpenSourceSecrets(ProtocolContext* ctx,
+                                        const Bytes& sealed) {
+  SECMED_ASSIGN_OR_RETURN(Bytes plain, ClientHybridDecrypt(ctx, sealed));
+  BinaryReader r(plain);
+  SourceSecrets secrets;
+  SECMED_ASSIGN_OR_RETURN(secrets.etuple_key, r.ReadBytes());
+  SECMED_ASSIGN_OR_RETURN(Bytes itable_blob, r.ReadRaw(r.remaining()));
+  SECMED_RETURN_IF_ERROR(
+      DecodeItableBlob(itable_blob, &secrets.schema, &secrets.itables));
+  return secrets;
+}
+
+// Per-source delivery state computed by build_with.
 struct SourceDelivery {
   DasRelation encrypted;
   std::vector<IndexTable> itables;
-  Bytes sealed_blob;  // itables+schema (client setting) or schema only
+  Bytes sealed_blob;  // SealSourceSecrets
 };
 
 /// Cached delivery state of one source: salted index tables, the
@@ -82,13 +114,12 @@ Result<Relation> DasJoinProtocol::Run(const std::string& sql,
   const DasTranslatorSetting setting = options_.translator;
 
   // Delivery steps 1-2 at each datasource: build one index table per join
-  // attribute and DAS-encrypt the partial result. What accompanies the
-  // encrypted relation depends on the translator setting:
-  //   kClient:  sealed (schema + itables) for the client;
-  //   kSource:  sealed schema for the client, plaintext itables for the
-  //             peer source (secure channel);
-  //   kMediator: sealed schema for the client, plaintext itables for the
-  //             mediator.
+  // attribute, draw one etuple key and DAS-encrypt the partial result
+  // under it. The key and the schema are sealed for the client; where the
+  // index tables go depends on the translator setting:
+  //   kClient:  into the blob sealed for the client;
+  //   kSource:  in plaintext to the peer source (secure channel);
+  //   kMediator: in plaintext to the mediator.
   auto build_with = [&](const Relation& rel, const RsaPublicKey& client_key,
                         const char* role,
                         RandomSource* rng) -> Result<SourceDelivery> {
@@ -112,27 +143,24 @@ Result<Relation> DasJoinProtocol::Run(const std::string& sql,
         clear_cols.push_back(Schema::BaseName(col));
       }
     }
+    SourceSecrets secrets;
+    secrets.etuple_key = Aead::GenerateKey(rng);
+    secrets.schema = rel.schema();
     {
       obs::Span span =
           obs::StartSpan(ctx->obs, role, "delivery", "das.encrypt_relation");
       std::string label = obs::SpanName(role, "delivery", "das.encrypt_relation");
       SECMED_ASSIGN_OR_RETURN(
           d.encrypted,
-          DasEncryptRelation(rel, join_attrs, d.itables, client_key, rng,
-                             clear_cols, ResolveThreads(ctx->threads),
+          DasEncryptRelation(rel, join_attrs, d.itables, secrets.etuple_key,
+                             rng, clear_cols, ResolveThreads(ctx->threads),
                              ctx->obs, label.c_str()));
       span.AddItems(rel.size());
     }
     obs::Span span = obs::StartSpan(ctx->obs, role, "delivery", "das.seal");
-    if (setting == DasTranslatorSetting::kClient) {
-      SECMED_ASSIGN_OR_RETURN(
-          d.sealed_blob,
-          HybridEncrypt(client_key, EncodeItableBlob(d.itables, rel.schema()),
-                        rng));
-    } else {
-      SECMED_ASSIGN_OR_RETURN(d.sealed_blob,
-                              SealSchema(client_key, rel.schema(), rng));
-    }
+    if (setting == DasTranslatorSetting::kClient) secrets.itables = d.itables;
+    SECMED_ASSIGN_OR_RETURN(d.sealed_blob,
+                            SealSourceSecrets(client_key, secrets, rng));
     return d;
   };
   auto build = [&](const std::string& source, const Relation& rel,
@@ -212,10 +240,11 @@ Result<Relation> DasJoinProtocol::Run(const std::string& sql,
     bus.Send(state.plan.source2, mediator, kMsgDasServerQuery, qs.Serialize());
   }
 
-  // Step 4 at the mediator: keep R1S/R2S; route per setting.
-  DasRelation r1s, r2s;
-  std::vector<IndexTable> med_itables1, med_itables2;
-  Bytes sealed1, sealed2;
+  // Step 4 at the mediator: keep R1S/R2S; route per setting. The arrays
+  // are indexed by source tag.
+  DasRelation rs[3];
+  std::vector<IndexTable> med_itables[3];
+  Bytes sealed[3];
   obs::Span route_span =
       obs::StartSpan(ctx->obs, "mediator", "delivery", "das.route");
   bool result_tags[3] = {};
@@ -226,38 +255,30 @@ Result<Relation> DasJoinProtocol::Run(const std::string& sql,
     SECMED_ASSIGN_OR_RETURN(
         uint8_t which, ReadSourceTag(&r, result_tags, kMsgDasEncryptedResult));
     SECMED_ASSIGN_OR_RETURN(Bytes rel_raw, r.ReadBytes());
-    SECMED_ASSIGN_OR_RETURN(Bytes sealed, r.ReadBytes());
+    SECMED_ASSIGN_OR_RETURN(sealed[which], r.ReadBytes());
     SECMED_ASSIGN_OR_RETURN(Bytes clear_itables, r.ReadBytes());
-    SECMED_ASSIGN_OR_RETURN(DasRelation rel, DasRelation::Deserialize(rel_raw));
-    if (which == 1) {
-      r1s = std::move(rel);
-      sealed1 = std::move(sealed);
-    } else {
-      r2s = std::move(rel);
-      sealed2 = std::move(sealed);
-    }
+    SECMED_ASSIGN_OR_RETURN(rs[which], DasRelation::Deserialize(rel_raw));
     if (setting == DasTranslatorSetting::kMediator) {
       Schema ignored;
-      std::vector<IndexTable>* dst =
-          which == 1 ? &med_itables1 : &med_itables2;
-      SECMED_RETURN_IF_ERROR(DecodeItableBlob(clear_itables, &ignored, dst));
+      SECMED_RETURN_IF_ERROR(
+          DecodeItableBlob(clear_itables, &ignored, &med_itables[which]));
     }
     if (setting == DasTranslatorSetting::kClient) {
       BinaryWriter w;
       w.WriteU8(which);
-      w.WriteBytes(which == 1 ? sealed1 : sealed2);
+      w.WriteBytes(sealed[which]);
       bus.Send(mediator, client, kMsgDasIndexTable, w.TakeBuffer());
     }
   }
   route_span.End();
 
   // The server query, produced by the party the setting selects.
-  Schema schema1, schema2;  // learned by the client before post-processing
+  // secrets[i]: what the client opened of source i's sealed blob.
+  SourceSecrets secrets[3];
   if (setting == DasTranslatorSetting::kClient) {
     // Step 5 at the client: decrypt index tables, translate, reply with qS.
     obs::Span span =
         obs::StartSpan(ctx->obs, "client", "delivery", "das.translate");
-    std::vector<IndexTable> itables1, itables2;
     bool itable_tags[3] = {};
     for (int i = 0; i < 2; ++i) {
       SECMED_ASSIGN_OR_RETURN(Message msg,
@@ -266,12 +287,10 @@ Result<Relation> DasJoinProtocol::Run(const std::string& sql,
       SECMED_ASSIGN_OR_RETURN(
           uint8_t which, ReadSourceTag(&r, itable_tags, kMsgDasIndexTable));
       SECMED_ASSIGN_OR_RETURN(Bytes blob, r.ReadBytes());
-      SECMED_ASSIGN_OR_RETURN(Bytes plain, ClientHybridDecrypt(ctx, blob));
-      Schema* schema = which == 1 ? &schema1 : &schema2;
-      std::vector<IndexTable>* itables = which == 1 ? &itables1 : &itables2;
-      SECMED_RETURN_IF_ERROR(DecodeItableBlob(plain, schema, itables));
+      SECMED_ASSIGN_OR_RETURN(secrets[which], OpenSourceSecrets(ctx, blob));
     }
-    DasServerQuery server_query = TranslateToServerQuery(itables1, itables2);
+    DasServerQuery server_query =
+        TranslateToServerQuery(secrets[1].itables, secrets[2].itables);
     bus.Send(client, mediator, kMsgDasServerQuery, server_query.Serialize());
   }
 
@@ -282,19 +301,19 @@ Result<Relation> DasJoinProtocol::Run(const std::string& sql,
         obs::StartSpan(ctx->obs, "mediator", "delivery", "das.evaluate");
     DasServerQuery query;
     if (setting == DasTranslatorSetting::kMediator) {
-      query = TranslateToServerQuery(med_itables1, med_itables2);
+      query = TranslateToServerQuery(med_itables[1], med_itables[2]);
     } else {
       SECMED_ASSIGN_OR_RETURN(Message msg,
                               bus.ReceiveOfType(mediator, kMsgDasServerQuery));
       SECMED_ASSIGN_OR_RETURN(query,
                               DasServerQuery::Deserialize(msg.payload));
     }
-    DasServerResult rc = EvaluateServerQuery(r1s, r2s, query);
+    DasServerResult rc = EvaluateServerQuery(rs[1], rs[2], query);
     BinaryWriter w;
     if (setting != DasTranslatorSetting::kClient) {
-      // The client has not seen the schemas yet; attach the sealed blobs.
-      w.WriteBytes(sealed1);
-      w.WriteBytes(sealed2);
+      // The client has not opened the sealed blobs yet; attach them.
+      w.WriteBytes(sealed[1]);
+      w.WriteBytes(sealed[2]);
     }
     w.WriteBytes(rc.Serialize());
     bus.Send(mediator, client, kMsgDasServerResult, w.TakeBuffer());
@@ -305,9 +324,9 @@ Result<Relation> DasJoinProtocol::Run(const std::string& sql,
                           bus.ReceiveOfType(client, kMsgDasServerResult));
   BinaryReader r(msg.payload);
   if (setting != DasTranslatorSetting::kClient) {
-    for (Schema* schema : {&schema1, &schema2}) {
+    for (int which = 1; which <= 2; ++which) {
       SECMED_ASSIGN_OR_RETURN(Bytes blob, r.ReadBytes());
-      SECMED_ASSIGN_OR_RETURN(*schema, OpenSchema(ctx, blob));
+      SECMED_ASSIGN_OR_RETURN(secrets[which], OpenSourceSecrets(ctx, blob));
     }
   }
   SECMED_ASSIGN_OR_RETURN(Bytes rc_raw, r.ReadBytes());
@@ -317,13 +336,9 @@ Result<Relation> DasJoinProtocol::Run(const std::string& sql,
   obs::Span span =
       obs::StartSpan(ctx->obs, "client", "post", "das.apply_client_query");
   span.AddItems(rc.size());
-  // Per-etuple hybrid decryption through the prepared cache: warm
-  // sessions see the same ciphertexts (the delivery is cache-derived)
-  // and skip the RSA work, which dominates the DAS client cost.
-  return ApplyClientQuery(rc, schema1, schema2, join_attrs,
-                          [ctx](const Bytes& etuple) {
-                            return ClientHybridDecrypt(ctx, etuple);
-                          });
+  return ApplyClientQuery(rc, secrets[1].schema, secrets[2].schema,
+                          join_attrs, secrets[1].etuple_key,
+                          secrets[2].etuple_key);
 }
 
 }  // namespace secmed

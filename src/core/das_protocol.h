@@ -49,14 +49,17 @@ struct DasProtocolOptions {
 ///
 /// Delivery phase:
 ///  1. Each Si partitions domactive(Ajoin) into ITable_Ri.Ajoin.
-///  2. Si DAS-encrypts Ri (hybrid etuples + index values) and encrypts the
-///     index table so only the client can read it.
-///  3. Si sends <RiS, encrypt(ITable)> to the mediator.
-///  4. The mediator forwards the encrypted index tables to the client.
+///  2. Si draws one etuple key, DAS-encrypts Ri under it (etuples + index
+///     values) and encrypts the key and the index table so only the
+///     client can read them.
+///  3. Si sends <RiS, encrypt(key, ITable)> to the mediator.
+///  4. The mediator forwards the encrypted blobs to the client.
 ///  5. The client decrypts them and translates q into the server query qS
 ///     (overlapping partition pairs) and client query qC.
-///  6. The mediator evaluates qS over R1S × R2S and returns RC.
-///  7. The client decrypts RC and applies qC, yielding the global result.
+///  6. The mediator evaluates qS over R1S × R2S and returns RC: each etuple
+///     of RC once, then RC's pairs as positions (DasServerResult).
+///  7. The client opens each etuple once and applies qC to the pairs,
+///     yielding the global result.
 ///
 /// The client receives a *superset* of the global result; the mediator
 /// learns |Ri| and |RC| but no plaintext (Table 1).

@@ -3,6 +3,7 @@
 #include <limits>
 #include <set>
 
+#include "crypto/aead.h"
 #include "crypto/hybrid.h"
 #include "das/das_relation.h"
 #include "das/index_table.h"
@@ -152,8 +153,8 @@ Result<Relation> RangeSelectionProtocol::Run(const std::string& sql,
   }
 
   // Datasource: DAS-encrypt with bucketization indexes on every integer
-  // column; ship the relation to the mediator, the index tables (sealed)
-  // to the client.
+  // column, under one etuple key; ship the relation to the mediator, the
+  // index tables and the key (sealed) to the client.
   {
     auto it = ctx->sources.find(plan.source);
     if (it == ctx->sources.end()) {
@@ -192,9 +193,10 @@ Result<Relation> RangeSelectionProtocol::Run(const std::string& sql,
       return Status::InvalidArgument(
           "relation has no integer columns to index for range queries");
     }
+    const Bytes etuple_key = Aead::GenerateKey(ctx->rng);
     SECMED_ASSIGN_OR_RETURN(
         DasRelation encrypted,
-        DasEncryptRelation(partial, indexed_columns, itables, client_key,
+        DasEncryptRelation(partial, indexed_columns, itables, etuple_key,
                            ctx->rng, {}, ResolveThreads(ctx->threads)));
     bus.Send(plan.source, mediator, kMsgRangeEncrypted, encrypted.Serialize());
 
@@ -202,6 +204,7 @@ Result<Relation> RangeSelectionProtocol::Run(const std::string& sql,
     partial.schema().EncodeTo(&kw);
     kw.WriteU32(static_cast<uint32_t>(itables.size()));
     for (const IndexTable& itable : itables) kw.WriteBytes(itable.Serialize());
+    kw.WriteBytes(etuple_key);
     SECMED_ASSIGN_OR_RETURN(Bytes sealed,
                             HybridEncrypt(client_key, kw.buffer(), ctx->rng));
     bus.Send(plan.source, mediator, kMsgRangeItables, sealed);
@@ -220,6 +223,7 @@ Result<Relation> RangeSelectionProtocol::Run(const std::string& sql,
 
   // Client: map the range onto buckets of its column's index table.
   Schema schema;
+  Bytes etuple_key;
   {
     SECMED_ASSIGN_OR_RETURN(Message msg,
                             bus.ReceiveOfType(client, kMsgRangeItables));
@@ -234,6 +238,7 @@ Result<Relation> RangeSelectionProtocol::Run(const std::string& sql,
       SECMED_ASSIGN_OR_RETURN(IndexTable itable, IndexTable::Deserialize(raw));
       itables.push_back(std::move(itable));
     }
+    SECMED_ASSIGN_OR_RETURN(etuple_key, r.ReadBytes());
     // Locate the filtered column's table and position.
     const std::string base = Schema::BaseName(range.column);
     size_t table_pos = itables.size();
@@ -291,12 +296,16 @@ Result<Relation> RangeSelectionProtocol::Run(const std::string& sql,
                           bus.ReceiveOfType(client, kMsgRangeResult));
   BinaryReader r(msg.payload);
   SECMED_ASSIGN_OR_RETURN(uint32_t count, r.ReadU32());
-  Relation superset(schema);
+  std::vector<Bytes> etuples;
+  etuples.reserve(std::min<size_t>(count, r.remaining()));
   for (uint32_t i = 0; i < count; ++i) {
-    SECMED_ASSIGN_OR_RETURN(Bytes sealed, r.ReadBytes());
-    SECMED_ASSIGN_OR_RETURN(Bytes plain,
-                            HybridDecrypt(ctx->client->private_key(), sealed));
-    SECMED_ASSIGN_OR_RETURN(Tuple t, DecodeTuple(plain));
+    SECMED_ASSIGN_OR_RETURN(Bytes etuple, r.ReadBytes());
+    etuples.push_back(std::move(etuple));
+  }
+  SECMED_ASSIGN_OR_RETURN(std::vector<Tuple> tuples,
+                          OpenEtuples(etuple_key, etuples));
+  Relation superset(schema);
+  for (Tuple& t : tuples) {
     SECMED_RETURN_IF_ERROR(superset.Append(std::move(t)));
   }
   last_superset_size_ = superset.size();

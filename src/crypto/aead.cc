@@ -19,7 +19,14 @@ Bytes Aead::GenerateKey(RandomSource* rng) { return rng->Generate(kKeySize); }
 
 Result<Bytes> Aead::Seal(const Bytes& plaintext, const Bytes& aad,
                          RandomSource* rng) const {
-  Bytes iv = rng->Generate(kIvSize);
+  return Seal(plaintext, aad, rng->Generate(kIvSize));
+}
+
+Result<Bytes> Aead::Seal(const Bytes& plaintext, const Bytes& aad,
+                         const Bytes& iv) const {
+  if (iv.size() != kIvSize) {
+    return Status::InvalidArgument("AEAD IV must be 12 bytes");
+  }
   SECMED_ASSIGN_OR_RETURN(Aes aes, Aes::Create(enc_key_));
   SECMED_ASSIGN_OR_RETURN(Bytes ciphertext, AesCtrTransform(aes, iv, plaintext));
   Bytes mac_input = iv;

@@ -29,6 +29,11 @@ class Aead {
   Result<Bytes> Seal(const Bytes& plaintext, const Bytes& aad,
                      RandomSource* rng) const;
 
+  /// Seals under a caller-drawn `iv` of kIvSize bytes, which must be
+  /// unique under this key. Lets a batch draw all its IVs in one call.
+  Result<Bytes> Seal(const Bytes& plaintext, const Bytes& aad,
+                     const Bytes& iv) const;
+
   /// Opens a sealed message; fails with kCryptoError if the tag does not
   /// verify or the message is malformed.
   Result<Bytes> Open(const Bytes& sealed, const Bytes& aad) const;

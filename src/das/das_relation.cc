@@ -1,8 +1,6 @@
 #include "das/das_relation.h"
 
-#include <memory>
-
-#include "crypto/hybrid.h"
+#include "crypto/aead.h"
 #include "util/parallel.h"
 #include "util/serialize.h"
 
@@ -51,10 +49,9 @@ Result<DasRelation> DasRelation::Deserialize(const Bytes& data) {
 
 Result<DasRelation> DasEncryptRelation(
     const Relation& rel, const std::vector<std::string>& join_columns,
-    const std::vector<IndexTable>& index_tables,
-    const RsaPublicKey& client_key, RandomSource* rng,
-    const std::vector<std::string>& plaintext_columns, size_t threads,
-    obs::Scope* scope, const char* label) {
+    const std::vector<IndexTable>& index_tables, const Bytes& etuple_key,
+    RandomSource* rng, const std::vector<std::string>& plaintext_columns,
+    size_t threads, obs::Scope* scope, const char* label) {
   if (join_columns.empty() || join_columns.size() != index_tables.size()) {
     return Status::InvalidArgument(
         "join columns and index tables must match and be non-empty");
@@ -69,7 +66,8 @@ Result<DasRelation> DasEncryptRelation(
     SECMED_ASSIGN_OR_RETURN(size_t i, rel.schema().IndexOf(col));
     clear_idx.push_back(i);
   }
-  std::vector<std::unique_ptr<RandomSource>> rngs = ForkN(rng, rel.size());
+  SECMED_ASSIGN_OR_RETURN(Aead aead, Aead::Create(etuple_key));
+  const Bytes ivs = rng->Generate(rel.size() * Aead::kIvSize);
   DasRelation out;
   out.tuples.resize(rel.size());
   SECMED_RETURN_IF_ERROR(
@@ -83,8 +81,10 @@ Result<DasRelation> DasEncryptRelation(
           dt.join_indexes.push_back(idx);
         }
         for (size_t c : clear_idx) dt.plaintext_cells.push_back(t[c]);
+        const auto iv = ivs.begin() + i * Aead::kIvSize;
         SECMED_ASSIGN_OR_RETURN(
-            dt.etuple, HybridEncrypt(client_key, EncodeTuple(t), rngs[i].get()));
+            dt.etuple, aead.Seal(EncodeTuple(t), Bytes(),
+                                 Bytes(iv, iv + Aead::kIvSize)));
         return Status::OK();
       }, scope, label != nullptr ? label : "das.encrypt_relation"));
   return out;
@@ -93,22 +93,36 @@ Result<DasRelation> DasEncryptRelation(
 Result<DasRelation> DasEncryptRelation(const Relation& rel,
                                        const std::string& join_column,
                                        const IndexTable& index_table,
-                                       const RsaPublicKey& client_key,
+                                       const Bytes& etuple_key,
                                        RandomSource* rng) {
   return DasEncryptRelation(rel, std::vector<std::string>{join_column},
-                            std::vector<IndexTable>{index_table}, client_key,
+                            std::vector<IndexTable>{index_table}, etuple_key,
                             rng);
+}
+
+Result<std::vector<Tuple>> OpenEtuples(const Bytes& etuple_key,
+                                       const std::vector<Bytes>& etuples) {
+  SECMED_ASSIGN_OR_RETURN(Aead aead, Aead::Create(etuple_key));
+  std::vector<Tuple> out;
+  out.reserve(etuples.size());
+  for (const Bytes& etuple : etuples) {
+    SECMED_ASSIGN_OR_RETURN(Bytes plain, aead.Open(etuple, Bytes()));
+    SECMED_ASSIGN_OR_RETURN(Tuple t, DecodeTuple(plain));
+    out.push_back(std::move(t));
+  }
+  return out;
 }
 
 Result<Relation> DasDecryptRelation(const DasRelation& encrypted,
                                     const Schema& schema,
-                                    const RsaPrivateKey& client_key) {
+                                    const Bytes& etuple_key) {
+  std::vector<Bytes> etuples;
+  etuples.reserve(encrypted.size());
+  for (const DasTuple& dt : encrypted.tuples) etuples.push_back(dt.etuple);
+  SECMED_ASSIGN_OR_RETURN(std::vector<Tuple> tuples,
+                          OpenEtuples(etuple_key, etuples));
   Relation out(schema);
-  for (const DasTuple& dt : encrypted.tuples) {
-    SECMED_ASSIGN_OR_RETURN(Bytes plain, HybridDecrypt(client_key, dt.etuple));
-    SECMED_ASSIGN_OR_RETURN(Tuple t, DecodeTuple(plain));
-    SECMED_RETURN_IF_ERROR(out.Append(std::move(t)));
-  }
+  for (Tuple& t : tuples) SECMED_RETURN_IF_ERROR(out.Append(std::move(t)));
   return out;
 }
 

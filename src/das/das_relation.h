@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "crypto/rsa.h"
 #include "das/index_table.h"
 #include "obs/scope.h"
 #include "relational/relation.h"
@@ -14,11 +13,11 @@
 namespace secmed {
 
 /// One encrypted tuple tS = <etuple, aS_1, ..., aS_k> of the DAS-encrypted
-/// relation RS (Section 3): `etuple` is the hybrid encryption of the whole
-/// plaintext tuple under the client's public key, `join_indexes` holds the
-/// index value of the partition containing the tuple's value for each
-/// indexed join attribute (one in the paper's base protocol; several in
-/// the Section 8 multi-attribute extension).
+/// relation RS (Section 3): `etuple` is the whole plaintext tuple sealed
+/// under the delivery's etuple key, `join_indexes` holds the index value
+/// of the partition containing the tuple's value for each indexed join
+/// attribute (one in the paper's base protocol; several in the Section 8
+/// multi-attribute extension).
 ///
 /// In the *mixed DAS model* of Mykletun and Tsudik (Related Work [18])
 /// only sensitive attributes are encrypted; `plaintext_cells` then carries
@@ -41,27 +40,28 @@ struct DasRelation {
   static Result<DasRelation> Deserialize(const Bytes& data);
 };
 
-/// Encrypts a partial result tuple-wise per the DAS approach: each tuple
-/// is hybrid-encrypted under `client_key`, and each join attribute is
-/// mapped to its index value through the corresponding index table.
-/// `join_columns` and `index_tables` must have equal, non-zero length.
+/// Encrypts a partial result tuple-wise per the DAS approach (Hacıgümüş
+/// et al.): every tuple is sealed as an etuple under the symmetric
+/// `etuple_key` (an Aead key the source draws once per delivery and seals
+/// for the client alone), and each join attribute is mapped to its index
+/// value through the corresponding index table. `join_columns` and
+/// `index_tables` must have equal, non-zero length.
 ///
 /// `plaintext_columns` selects the mixed-DAS mode: the named non-sensitive
 /// columns additionally travel in the clear next to the etuple (the
 /// encrypted tuple still contains every column, so decryption is
 /// unchanged). Leave empty for the paper's fully encrypted model.
 ///
-/// `threads` sealing workers run the per-tuple hybrid encryptions; the
-/// output is bit-identical for every thread count under a seeded `rng`
-/// (per-tuple RNG forking — see RandomSource::Fork).
+/// Every IV is drawn from `rng` in tuple order, in one call, before
+/// `threads` sealing workers run, so the output is bit-identical for
+/// every thread count under a seeded `rng`.
 ///
 /// A non-null `scope` instruments the sealing loop (per-worker spans and
 /// items counters under `label`, default "das.encrypt_relation").
 Result<DasRelation> DasEncryptRelation(
     const Relation& rel, const std::vector<std::string>& join_columns,
-    const std::vector<IndexTable>& index_tables,
-    const RsaPublicKey& client_key, RandomSource* rng,
-    const std::vector<std::string>& plaintext_columns = {},
+    const std::vector<IndexTable>& index_tables, const Bytes& etuple_key,
+    RandomSource* rng, const std::vector<std::string>& plaintext_columns = {},
     size_t threads = 1, obs::Scope* scope = nullptr,
     const char* label = nullptr);
 
@@ -69,14 +69,19 @@ Result<DasRelation> DasEncryptRelation(
 Result<DasRelation> DasEncryptRelation(const Relation& rel,
                                        const std::string& join_column,
                                        const IndexTable& index_table,
-                                       const RsaPublicKey& client_key,
+                                       const Bytes& etuple_key,
                                        RandomSource* rng);
 
-/// Client-side decryptDAS: decrypts every etuple and drops the index
-/// values, restoring the plaintext relation with the given schema.
+/// Opens etuples sealed under `etuple_key` and decodes their tuples, in
+/// order. Fails with kCryptoError on a tampered etuple or a wrong key.
+Result<std::vector<Tuple>> OpenEtuples(const Bytes& etuple_key,
+                                       const std::vector<Bytes>& etuples);
+
+/// Client-side decryptDAS: opens every etuple and drops the index values,
+/// restoring the plaintext relation with the given schema.
 Result<Relation> DasDecryptRelation(const DasRelation& encrypted,
                                     const Schema& schema,
-                                    const RsaPrivateKey& client_key);
+                                    const Bytes& etuple_key);
 
 }  // namespace secmed
 

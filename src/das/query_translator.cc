@@ -1,9 +1,9 @@
 #include "das/query_translator.h"
 
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "crypto/hybrid.h"
 #include "util/serialize.h"
 
 namespace secmed {
@@ -42,12 +42,32 @@ Result<DasServerQuery> DasServerQuery::Deserialize(const Bytes& data) {
   return q;
 }
 
+namespace {
+void WriteEtuples(const std::vector<Bytes>& etuples, BinaryWriter* w) {
+  w->WriteU32(static_cast<uint32_t>(etuples.size()));
+  for (const Bytes& e : etuples) w->WriteBytes(e);
+}
+
+Result<std::vector<Bytes>> ReadEtuples(BinaryReader* r) {
+  SECMED_ASSIGN_OR_RETURN(uint32_t n, r->ReadU32());
+  std::vector<Bytes> etuples;
+  etuples.reserve(std::min<size_t>(n, r->remaining()));
+  for (uint32_t i = 0; i < n; ++i) {
+    SECMED_ASSIGN_OR_RETURN(Bytes e, r->ReadBytes());
+    etuples.push_back(std::move(e));
+  }
+  return etuples;
+}
+}  // namespace
+
 Bytes DasServerResult::Serialize() const {
   BinaryWriter w;
-  w.WriteU32(static_cast<uint32_t>(etuple_pairs.size()));
-  for (const auto& [a, b] : etuple_pairs) {
-    w.WriteBytes(a);
-    w.WriteBytes(b);
+  WriteEtuples(etuples1, &w);
+  WriteEtuples(etuples2, &w);
+  w.WriteU32(static_cast<uint32_t>(pairs.size()));
+  for (const auto& [a, b] : pairs) {
+    w.WriteU32(a);
+    w.WriteU32(b);
   }
   return w.TakeBuffer();
 }
@@ -55,12 +75,14 @@ Bytes DasServerResult::Serialize() const {
 Result<DasServerResult> DasServerResult::Deserialize(const Bytes& data) {
   BinaryReader r(data);
   DasServerResult res;
+  SECMED_ASSIGN_OR_RETURN(res.etuples1, ReadEtuples(&r));
+  SECMED_ASSIGN_OR_RETURN(res.etuples2, ReadEtuples(&r));
   SECMED_ASSIGN_OR_RETURN(uint32_t n, r.ReadU32());
-  res.etuple_pairs.reserve(std::min<size_t>(n, r.remaining()));
+  res.pairs.reserve(std::min<size_t>(n, r.remaining()));
   for (uint32_t i = 0; i < n; ++i) {
-    SECMED_ASSIGN_OR_RETURN(Bytes a, r.ReadBytes());
-    SECMED_ASSIGN_OR_RETURN(Bytes b, r.ReadBytes());
-    res.etuple_pairs.emplace_back(std::move(a), std::move(b));
+    SECMED_ASSIGN_OR_RETURN(uint32_t a, r.ReadU32());
+    SECMED_ASSIGN_OR_RETURN(uint32_t b, r.ReadU32());
+    res.pairs.emplace_back(a, b);
   }
   if (!r.AtEnd()) return Status::ParseError("trailing bytes in server result");
   return res;
@@ -122,6 +144,17 @@ DasServerResult EvaluateServerQuery(const DasRelation& r1,
     r2_by_first[t.join_indexes[0]].push_back(&t);
   }
 
+  // An etuple's position in its side's list, appending it on first use.
+  using Positions = std::unordered_map<const DasTuple*, uint32_t>;
+  Positions pos1, pos2;
+  auto position = [](const DasTuple* t, Positions* pos,
+                     std::vector<Bytes>* etuples) {
+    auto [it, inserted] =
+        pos->try_emplace(t, static_cast<uint32_t>(etuples->size()));
+    if (inserted) etuples->push_back(t->etuple);
+    return it->second;
+  };
+
   for (const DasTuple& t1 : r1.tuples) {
     if (t1.join_indexes.size() != attrs) continue;
     auto it = first_candidates.find(t1.join_indexes[0]);
@@ -135,17 +168,44 @@ DasServerResult EvaluateServerQuery(const DasRelation& r1,
           all_match = allowed[k].count(
                           {t1.join_indexes[k], t2->join_indexes[k]}) > 0;
         }
-        if (all_match) out.etuple_pairs.emplace_back(t1.etuple, t2->etuple);
+        if (all_match) {
+          out.pairs.emplace_back(position(&t1, &pos1, &out.etuples1),
+                                 position(t2, &pos2, &out.etuples2));
+        }
       }
     }
   }
   return out;
 }
 
+namespace {
+// Opens one side's etuples after checking that none is listed twice.
+Result<std::vector<Tuple>> OpenSide(const std::vector<Bytes>& etuples,
+                                    const Bytes& etuple_key,
+                                    const Schema& schema) {
+  std::unordered_set<std::string_view> seen;
+  for (const Bytes& e : etuples) {
+    if (!seen.emplace(reinterpret_cast<const char*>(e.data()), e.size())
+             .second) {
+      return Status::ProtocolError("etuple listed twice in the server result");
+    }
+  }
+  SECMED_ASSIGN_OR_RETURN(std::vector<Tuple> tuples,
+                          OpenEtuples(etuple_key, etuples));
+  for (const Tuple& t : tuples) {
+    if (t.size() != schema.size()) {
+      return Status::DataLoss("decrypted tuple arity mismatch");
+    }
+  }
+  return tuples;
+}
+}  // namespace
+
 Result<Relation> ApplyClientQuery(const DasServerResult& server_result,
                                   const Schema& schema1, const Schema& schema2,
                                   const std::vector<std::string>& join_columns,
-                                  const EtupleDecryptFn& decrypt_fn) {
+                                  const Bytes& etuple_key1,
+                                  const Bytes& etuple_key2) {
   if (join_columns.empty()) {
     return Status::InvalidArgument("no join columns given");
   }
@@ -166,24 +226,22 @@ Result<Relation> ApplyClientQuery(const DasServerResult& server_result,
   }
   Relation out{Schema(std::move(cols))};
 
-  // Decrypt each distinct etuple only once.
-  std::unordered_map<std::string, Tuple> cache;
-  auto decrypt = [&](const Bytes& etuple) -> Result<Tuple> {
-    std::string key(etuple.begin(), etuple.end());
-    auto it = cache.find(key);
-    if (it != cache.end()) return it->second;
-    SECMED_ASSIGN_OR_RETURN(Bytes plain, decrypt_fn(etuple));
-    SECMED_ASSIGN_OR_RETURN(Tuple t, DecodeTuple(plain));
-    cache.emplace(std::move(key), t);
-    return t;
-  };
-
-  for (const auto& [e1, e2] : server_result.etuple_pairs) {
-    SECMED_ASSIGN_OR_RETURN(Tuple t1, decrypt(e1));
-    SECMED_ASSIGN_OR_RETURN(Tuple t2, decrypt(e2));
-    if (t1.size() != schema1.size() || t2.size() != schema2.size()) {
-      return Status::DataLoss("decrypted tuple arity mismatch");
+  SECMED_ASSIGN_OR_RETURN(
+      std::vector<Tuple> tuples1,
+      OpenSide(server_result.etuples1, etuple_key1, schema1));
+  SECMED_ASSIGN_OR_RETURN(
+      std::vector<Tuple> tuples2,
+      OpenSide(server_result.etuples2, etuple_key2, schema2));
+  std::unordered_set<uint64_t> seen_pairs;
+  for (const auto& [a, b] : server_result.pairs) {
+    if (a >= tuples1.size() || b >= tuples2.size()) {
+      return Status::ProtocolError("server result pair names no etuple");
     }
+    if (!seen_pairs.insert((uint64_t{a} << 32) | b).second) {
+      return Status::ProtocolError("repeated pair in the server result");
+    }
+    const Tuple& t1 = tuples1[a];
+    const Tuple& t2 = tuples2[b];
     // CondC: every join value pair must be equal (and non-NULL).
     bool match = true;
     for (size_t k = 0; k < j1.size() && match; ++k) {
@@ -197,24 +255,6 @@ Result<Relation> ApplyClientQuery(const DasServerResult& server_result,
     out.AppendUnchecked(std::move(t));
   }
   return out;
-}
-
-Result<Relation> ApplyClientQuery(const DasServerResult& server_result,
-                                  const Schema& schema1, const Schema& schema2,
-                                  const std::vector<std::string>& join_columns,
-                                  const RsaPrivateKey& client_key) {
-  return ApplyClientQuery(server_result, schema1, schema2, join_columns,
-                          [&client_key](const Bytes& etuple) {
-                            return HybridDecrypt(client_key, etuple);
-                          });
-}
-
-Result<Relation> ApplyClientQuery(const DasServerResult& server_result,
-                                  const Schema& schema1, const Schema& schema2,
-                                  const std::string& join_column,
-                                  const RsaPrivateKey& client_key) {
-  return ApplyClientQuery(server_result, schema1, schema2,
-                          std::vector<std::string>{join_column}, client_key);
 }
 
 }  // namespace secmed

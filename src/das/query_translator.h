@@ -1,7 +1,6 @@
 #ifndef SECMED_DAS_QUERY_TRANSLATOR_H_
 #define SECMED_DAS_QUERY_TRANSLATOR_H_
 
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -24,12 +23,18 @@ struct DasServerQuery {
   static Result<DasServerQuery> Deserialize(const Bytes& data);
 };
 
-/// The server result RC: pairs of encrypted tuples whose index vectors
-/// satisfy CondS.
+/// The server result RC, factorized: each R1S and R2S etuple that occurs
+/// in a pair of RC is sent once, and the pairs of RC are (position in
+/// etuples1, position in etuples2), in the order the mediator found them.
+/// So the bytes grow with the tuples involved, not with the candidate
+/// pairs.
 struct DasServerResult {
-  std::vector<std::pair<Bytes, Bytes>> etuple_pairs;
+  std::vector<Bytes> etuples1;
+  std::vector<Bytes> etuples2;
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
 
-  size_t size() const { return etuple_pairs.size(); }
+  /// |RC|: the number of candidate pairs.
+  size_t size() const { return pairs.size(); }
 
   Bytes Serialize() const;
   static Result<DasServerResult> Deserialize(const Bytes& data);
@@ -53,31 +58,18 @@ DasServerQuery TranslateToServerQuery(const IndexTable& itable1,
 DasServerResult EvaluateServerQuery(const DasRelation& r1, const DasRelation& r2,
                                     const DasServerQuery& query);
 
-/// Decrypts one etuple ciphertext to its tuple encoding. Injectable so
-/// the protocol layer can route the per-etuple hybrid decryption — the
-/// dominant client cost of DAS — through its cross-session prepared
-/// cache; the key-based overloads below plug in a plain HybridDecrypt.
-using EtupleDecryptFn = std::function<Result<Bytes>(const Bytes&)>;
-
-/// Client-side post-processing: decrypts each etuple pair (decryptDAS) and
-/// keeps exactly the pairs whose real values agree on every join column
-/// (CondC), producing the natural join of the partial results with each
-/// join column appearing once. Each distinct etuple is decrypted once.
+/// Client-side post-processing: opens each etuple of RC once (decryptDAS,
+/// under the key of the source that sealed it) and walks the pairs in
+/// order, keeping exactly those whose real values agree on every join
+/// column (CondC). Produces the natural join of the partial results with
+/// each join column appearing once. Fails with kProtocolError on an
+/// etuple listed twice, a repeated pair or a position past the end: each
+/// would repeat result rows.
 Result<Relation> ApplyClientQuery(const DasServerResult& server_result,
                                   const Schema& schema1, const Schema& schema2,
                                   const std::vector<std::string>& join_columns,
-                                  const EtupleDecryptFn& decrypt);
-
-Result<Relation> ApplyClientQuery(const DasServerResult& server_result,
-                                  const Schema& schema1, const Schema& schema2,
-                                  const std::vector<std::string>& join_columns,
-                                  const RsaPrivateKey& client_key);
-
-/// Single-attribute convenience overload.
-Result<Relation> ApplyClientQuery(const DasServerResult& server_result,
-                                  const Schema& schema1, const Schema& schema2,
-                                  const std::string& join_column,
-                                  const RsaPrivateKey& client_key);
+                                  const Bytes& etuple_key1,
+                                  const Bytes& etuple_key2);
 
 }  // namespace secmed
 

@@ -183,13 +183,8 @@ TEST(IndexTableTest, OverlappingPairsFindsSharedValues) {
   EXPECT_EQ(pairs[0].second, it2.IndexOf(Value::Int(3)).value());
 }
 
-const RsaPrivateKey& ClientKey() {
-  static const RsaPrivateKey* key = [] {
-    HmacDrbg rng(ToBytes("das-client-key"));
-    return new RsaPrivateKey(RsaGenerateKey(1024, &rng).value());
-  }();
-  return *key;
-}
+// The etuple key a source draws per delivery (one per side).
+Bytes EtupleKey(uint8_t side = 1) { return Bytes(32, side); }
 
 TEST(DasRelationTest, EncryptDecryptRoundTrip) {
   HmacDrbg rng(ToBytes("das1"));
@@ -198,15 +193,19 @@ TEST(DasRelationTest, EncryptDecryptRoundTrip) {
                                     PartitionStrategy::kEquiWidth, 4, Bytes{3})
                       .value();
   DasRelation enc =
-      DasEncryptRelation(rel, "ajoin", it, ClientKey().PublicKey(), &rng)
+      DasEncryptRelation(rel, "ajoin", it, EtupleKey(), &rng)
           .value();
   EXPECT_EQ(enc.size(), rel.size());
-  Relation dec = DasDecryptRelation(enc, rel.schema(), ClientKey()).value();
+  Relation dec = DasDecryptRelation(enc, rel.schema(), EtupleKey()).value();
   EXPECT_TRUE(dec.EqualsAsBag(rel));
+  // Only the delivery's key opens its etuples.
+  EXPECT_EQ(
+      DasDecryptRelation(enc, rel.schema(), EtupleKey(2)).status().code(),
+      StatusCode::kCryptoError);
 }
 
 TEST(DasRelationTest, EtuplesHideEqualTuples) {
-  // Hybrid encryption is randomized: identical plaintext tuples produce
+  // Every etuple has its own IV: identical plaintext tuples produce
   // different etuples, so the mediator cannot even count duplicates.
   HmacDrbg rng(ToBytes("das2"));
   Relation rel{Schema({{"ajoin", ValueType::kInt64}})};
@@ -216,7 +215,7 @@ TEST(DasRelationTest, EtuplesHideEqualTuples) {
                                     PartitionStrategy::kSingleton, 0, Bytes{4})
                       .value();
   DasRelation enc =
-      DasEncryptRelation(rel, "ajoin", it, ClientKey().PublicKey(), &rng)
+      DasEncryptRelation(rel, "ajoin", it, EtupleKey(), &rng)
           .value();
   EXPECT_NE(enc.tuples[0].etuple, enc.tuples[1].etuple);
   EXPECT_EQ(enc.tuples[0].join_indexes, enc.tuples[1].join_indexes);
@@ -229,7 +228,7 @@ TEST(DasRelationTest, SerializeRoundTrip) {
                                     PartitionStrategy::kEquiDepth, 3, Bytes{5})
                       .value();
   DasRelation enc =
-      DasEncryptRelation(rel, "ajoin", it, ClientKey().PublicKey(), &rng)
+      DasEncryptRelation(rel, "ajoin", it, EtupleKey(), &rng)
           .value();
   DasRelation back = DasRelation::Deserialize(enc.Serialize()).value();
   ASSERT_EQ(back.size(), enc.size());
@@ -264,17 +263,18 @@ TEST_P(DasEndToEndTest, ServerPlusClientQueryEqualsPlaintextJoin) {
                         GetParam().partitions, Bytes{11})
           .value();
   DasRelation r1s = DasEncryptRelation(w.r1, w.join_attribute, it1,
-                                       ClientKey().PublicKey(), &rng)
+                                       EtupleKey(), &rng)
                         .value();
   DasRelation r2s = DasEncryptRelation(w.r2, w.join_attribute, it2,
-                                       ClientKey().PublicKey(), &rng)
+                                       EtupleKey(2), &rng)
                         .value();
 
   DasServerQuery qs = TranslateToServerQuery(it1, it2);
   DasServerResult rc = EvaluateServerQuery(r1s, r2s, qs);
 
   Relation joined = ApplyClientQuery(rc, w.r1.schema(), w.r2.schema(),
-                                     w.join_attribute, ClientKey())
+                                     {w.join_attribute}, EtupleKey(),
+                                     EtupleKey(2))
                         .value();
   Relation expected = NaturalJoin(w.r1, w.r2).value();
   EXPECT_TRUE(joined.EqualsAsBag(expected));
@@ -313,9 +313,11 @@ TEST(DasServerQueryTest, SerializeRoundTrip) {
 }
 
 TEST(DasServerResultTest, SerializeRoundTrip) {
-  DasServerResult r{{{Bytes{1, 2}, Bytes{3}}, {Bytes{}, Bytes{4, 5}}}};
+  DasServerResult r{{Bytes{1, 2}, Bytes{}}, {Bytes{3}}, {{0, 0}, {1, 0}}};
   DasServerResult back = DasServerResult::Deserialize(r.Serialize()).value();
-  EXPECT_EQ(back.etuple_pairs, r.etuple_pairs);
+  EXPECT_EQ(back.etuples1, r.etuples1);
+  EXPECT_EQ(back.etuples2, r.etuples2);
+  EXPECT_EQ(back.pairs, r.pairs);
 }
 
 TEST(DasServerQueryTest, CoarserPartitioningYieldsBiggerSuperset) {
@@ -342,10 +344,10 @@ TEST(DasServerQueryTest, CoarserPartitioningYieldsBiggerSuperset) {
                                        Bytes{21})
                          .value();
     DasRelation r1s = DasEncryptRelation(w.r1, w.join_attribute, it1,
-                                         ClientKey().PublicKey(), &rng)
+                                         EtupleKey(), &rng)
                           .value();
     DasRelation r2s = DasEncryptRelation(w.r2, w.join_attribute, it2,
-                                         ClientKey().PublicKey(), &rng)
+                                         EtupleKey(), &rng)
                           .value();
     DasServerResult rc =
         EvaluateServerQuery(r1s, r2s, TranslateToServerQuery(it1, it2));

@@ -28,6 +28,7 @@
 #include "core/pm_protocol.h"
 #include "core/testbed.h"
 #include "crypto/drbg.h"
+#include "das/query_translator.h"
 #include "net/tcp_transport.h"
 #include "util/serialize.h"
 
@@ -330,9 +331,10 @@ INSTANTIATE_TEST_SUITE_P(Rounds, RoundFieldTamper,
 // in its result message. The sources' sealing keeps it from altering
 // what it pairs, and the client checks the pairing itself: the
 // commutative join's client rejects a pair whose tuple sets carry
-// different join values and a tuple set in two pairs. Each rewrite below
-// would otherwise return wrong rows with an OK status. A dropped match is
-// still not detected.
+// different join values and a tuple set in two pairs; the DAS client
+// rejects a repeated pair, an etuple listed twice and a position past
+// the end. Each rewrite below would otherwise return wrong rows with an
+// OK status. A dropped match is still not detected.
 
 // The workload of the pairing probes: its plaintext join has 31 rows.
 Workload ProbeWorkload() {
@@ -377,7 +379,41 @@ struct CommResult {
   }
 };
 
-std::vector<RoundTamper> ResultRewrites(const std::string&) {
+// das_server_result in the client setting: bytes DasServerResult.
+void RewriteDasResult(Bytes* p, const std::function<void(DasServerResult*)>& f) {
+  BinaryReader r(*p);
+  DasServerResult rc = DasServerResult::Deserialize(r.ReadBytes().value()).value();
+  f(&rc);
+  BinaryWriter w;
+  w.WriteBytes(rc.Serialize());
+  *p = w.TakeBuffer();
+}
+
+std::vector<RoundTamper> ResultRewrites(const std::string& protocol) {
+  if (protocol == "das") {
+    return {
+        {"repeated pair", "das_server_result",
+         [](Bytes* p) {
+           RewriteDasResult(p, [](DasServerResult* rc) {
+             rc->pairs.push_back(rc->pairs.front());
+           });
+         }},
+        {"etuple repeated at a new position", "das_server_result",
+         [](Bytes* p) {
+           RewriteDasResult(p, [](DasServerResult* rc) {
+             const auto [a, b] = rc->pairs.front();
+             rc->etuples1.push_back(rc->etuples1[a]);
+             rc->pairs.emplace_back(rc->etuples1.size() - 1, b);
+           });
+         }},
+        {"position past the end", "das_server_result",
+         [](Bytes* p) {
+           RewriteDasResult(p, [](DasServerResult* rc) {
+             rc->pairs.back().second = rc->etuples2.size();
+           });
+         }},
+    };
+  }
   return {
       {"second payloads of two pairs swapped", "comm_result",
        [](Bytes* p) {
@@ -395,6 +431,7 @@ std::vector<RoundTamper> ResultRewrites(const std::string&) {
 }
 
 RoundRun ResultProtocol(const std::string& name) {
+  if (name == "das") return RoundProtocol("das");
   const bool forward = name == "commutative_forward";
   return [forward](const std::string& sql, ProtocolContext* ctx) {
     return CommutativeJoinProtocol({256, forward}).Run(sql, ctx).status();
@@ -410,7 +447,7 @@ TEST_P(MediatorRewrite, FailsWithProtocolError) {
 
 INSTANTIATE_TEST_SUITE_P(Results, MediatorRewrite,
                          ::testing::Values("commutative",
-                                           "commutative_forward"));
+                                           "commutative_forward", "das"));
 
 // Deserializers must reject random garbage without crashing.
 TEST(FuzzishDeserializeTest, RandomBytesRejectedGracefully) {
