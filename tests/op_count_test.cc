@@ -80,7 +80,7 @@ void ExpectOps(const std::string& variant, const RunFn& run,
 // ------------------------------------------------------------------ DAS --
 
 TEST(OpCount, DasDefault) {
-  ExpectOps("das", RelationRun<DasJoinProtocol>(), {6516, 31282},
+  ExpectOps("das", RelationRun<DasJoinProtocol>(), {448, 2124},
             {24, 68});
 }
 
@@ -88,20 +88,20 @@ TEST(OpCount, DasEquiWidth) {
   DasProtocolOptions o;
   o.strategy = PartitionStrategy::kEquiWidth;
   ExpectOps("das-equi-width", RelationRun<DasJoinProtocol>(o),
-            {6104, 29260}, {24, 68});
+            {448, 2124}, {24, 68});
 }
 
 TEST(OpCount, DasSingleton) {
   DasProtocolOptions o;
   o.strategy = PartitionStrategy::kSingleton;
   ExpectOps("das-singleton", RelationRun<DasJoinProtocol>(o),
-            {6104, 29260}, {24, 68});
+            {448, 2124}, {24, 68});
 }
 
 TEST(OpCount, DasSourceTranslator) {
   DasProtocolOptions o;
   o.translator = DasTranslatorSetting::kSource;
-  ExpectOps("das-source", RelationRun<DasJoinProtocol>(o), {6516, 31282},
+  ExpectOps("das-source", RelationRun<DasJoinProtocol>(o), {448, 2124},
             {24, 68});
 }
 
@@ -109,7 +109,7 @@ TEST(OpCount, DasMediatorTranslator) {
   DasProtocolOptions o;
   o.translator = DasTranslatorSetting::kMediator;
   ExpectOps("das-mediator", RelationRun<DasJoinProtocol>(o),
-            {6516, 31282}, {24, 68});
+            {448, 2124}, {24, 68});
 }
 
 // ---------------------------------------------------------- commutative --

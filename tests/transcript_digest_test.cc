@@ -106,8 +106,8 @@ void ExpectPinned(const std::string& variant, const RunFn& run,
 TEST(TranscriptDigest, DasDefault) {
   ExpectPinned(
       "das", RelationRun<DasJoinProtocol>(),
-      "9a52608fb7109f1523c650888d620c651d22ee433416d1d32601f4fc21c9952f",
-      "62ff06d177d81116a86d5fa8a9b34a990631747425ba96881701f75f574e2f5c");
+      "dfdae6c0135b6050b1af6138c5daab13b7967b3db571026ad5d148cdb03bfd8d",
+      "1eb3f6ef2199b38a7a5e78eb37ef1a3dd3d849bd9dc63b28f09a28e985e89b45");
 }
 
 TEST(TranscriptDigest, DasEquiWidth) {
@@ -115,8 +115,8 @@ TEST(TranscriptDigest, DasEquiWidth) {
   o.strategy = PartitionStrategy::kEquiWidth;
   ExpectPinned(
       "das-equi-width", RelationRun<DasJoinProtocol>(o),
-      "146c5f2cd6ee9d7e7f7230b8fa44d0f010274a0a1e9ff4b1748576c5555fbc59",
-      "4cc0c0e99b99c7981f825398d3577687beb5b4ac22bd09ca14a175df36fe201a");
+      "8bf55fe861f34bd582a3573c1d149d5955e2ac97e600c7df63368f43843b0e00",
+      "c0b72e4b678311ca5e40fba6190be14c276d21eefc028479ba6f1d652f4606c3");
 }
 
 TEST(TranscriptDigest, DasSingleton) {
@@ -124,8 +124,8 @@ TEST(TranscriptDigest, DasSingleton) {
   o.strategy = PartitionStrategy::kSingleton;
   ExpectPinned(
       "das-singleton", RelationRun<DasJoinProtocol>(o),
-      "bb8492766d2a16627b1a5159484a8a741a5c5c270b42c83528a60a3473757314",
-      "18bfa8bc7fb82c0f5651b9bb67f3c39ebce009a68374b3d1241ba7f55023744e");
+      "df36b72776a4b67d12246eebfafafa20457e14997d1eef22fea58b215d8d79ab",
+      "47a2bbdfe615ee45ca1462326b604ce798f4384fd0c64e84ca1d6cb90dd2f7df");
 }
 
 TEST(TranscriptDigest, DasSourceTranslator) {
@@ -133,8 +133,8 @@ TEST(TranscriptDigest, DasSourceTranslator) {
   o.translator = DasTranslatorSetting::kSource;
   ExpectPinned(
       "das-source", RelationRun<DasJoinProtocol>(o),
-      "dff2d4ec9c63f7ed75c04d45160ef81dac16b5f3bf03e85859d37453de898ecd",
-      "9a5697c354dbeb50582427ca13033bfcfd37af02ef0da121bbace6ed2da70a34");
+      "27d27edee7b0c5c7191b2655a866488cc671322da5c5c2a57a26496548dcc1bb",
+      "f0d73d777194dec19ae036340021067c0520bf4614219d387b36bfb4fe8df439");
 }
 
 TEST(TranscriptDigest, DasMediatorTranslator) {
@@ -142,8 +142,8 @@ TEST(TranscriptDigest, DasMediatorTranslator) {
   o.translator = DasTranslatorSetting::kMediator;
   ExpectPinned(
       "das-mediator", RelationRun<DasJoinProtocol>(o),
-      "86d7892207c75b04b8dc7a40ddcf252ee918419598512c1f92d547d39f85f4bc",
-      "27b68dd8a9bb77c39c32b7a2e286d059a8468165b2ca54ef2f02488f61a6ce5e");
+      "5390982c30ccd93472d2f8e80069eee29c0a932409bc2bdd6aa5c67faa1c1fa4",
+      "8699f09c6f75d9004500cd5a3182b744db52e443394fd10caddeaa62ce79594c");
 }
 
 // ---------------------------------------------------------- commutative --
