@@ -71,18 +71,17 @@ Result<TableStats> CollectStats(const Relation& rel,
   // Resolve the join column: exact (possibly qualified) match first, then
   // by base name, so the collector works on both stored base tables and
   // qualified partial results.
-  Result<size_t> col = rel.schema().IndexOf(join_attribute);
+  const size_t none = rel.schema().size();
+  const Result<size_t> exact = rel.schema().IndexOf(join_attribute);
+  size_t col = exact.ok() ? *exact : none;
   std::string stored_name = join_attribute;
-  if (!col.ok()) {
-    for (size_t i = 0; i < rel.schema().size(); ++i) {
-      if (Schema::BaseName(rel.schema().column(i).name) == join_attribute) {
-        stored_name = rel.schema().column(i).name;
-        col = i;
-        break;
-      }
+  for (size_t i = 0; col == none && i < rel.schema().size(); ++i) {
+    if (Schema::BaseName(rel.schema().column(i).name) == join_attribute) {
+      stored_name = rel.schema().column(i).name;
+      col = i;
     }
   }
-  if (!col.ok()) {
+  if (col == none) {
     return Status::InvalidArgument("stats: no column '" + join_attribute +
                                    "' in schema");
   }
@@ -121,7 +120,7 @@ Result<TableStats> CollectStats(const Relation& rel,
           if (b.partition.Contains(v)) ++b.distinct_values;
         }
         for (const Tuple& t : rel.tuples()) {
-          const Value& v = t[*col];
+          const Value& v = t[col];
           if (!v.is_null() && b.partition.Contains(v)) ++b.tuples;
         }
         stats.buckets.push_back(std::move(b));
