@@ -113,7 +113,7 @@ Result<Relation> SelectionProtocol::Run(const std::string& sql,
     SearchKeys keys = GenerateSearchKeys(partial.schema(), ctx->rng);
     SECMED_ASSIGN_OR_RETURN(
         SearchableRelation encrypted,
-        SearchableEncrypt(partial, keys, client_key, ctx->rng));
+        SearchableEncrypt(partial, keys, ctx->rng));
     bus.Send(plan.source, mediator, kMsgSelEncrypted, encrypted.Serialize());
 
     BinaryWriter kw;
@@ -138,6 +138,7 @@ Result<Relation> SelectionProtocol::Run(const std::string& sql,
 
   // Client: recover the keys, derive the token from the WHERE condition.
   Schema schema;
+  SearchKeys keys;
   {
     SECMED_ASSIGN_OR_RETURN(Message msg, bus.ReceiveOfType(client, kMsgSelKeys));
     SECMED_ASSIGN_OR_RETURN(
@@ -145,7 +146,7 @@ Result<Relation> SelectionProtocol::Run(const std::string& sql,
     BinaryReader r(plain);
     SECMED_ASSIGN_OR_RETURN(schema, Schema::DecodeFrom(&r));
     SECMED_ASSIGN_OR_RETURN(Bytes keys_raw, r.ReadBytes());
-    SECMED_ASSIGN_OR_RETURN(SearchKeys keys, SearchKeys::Deserialize(keys_raw));
+    SECMED_ASSIGN_OR_RETURN(keys, SearchKeys::Deserialize(keys_raw));
     SECMED_ASSIGN_OR_RETURN(SelectionToken token,
                             MakeSelectionToken(keys, schema, equalities));
     bus.Send(client, mediator, kMsgSelToken, token.Serialize());
@@ -175,7 +176,7 @@ Result<Relation> SelectionProtocol::Run(const std::string& sql,
     sealed.push_back(std::move(row));
   }
   last_selected_rows_ = sealed.size();
-  return OpenSelection(sealed, schema, ctx->client->private_key());
+  return OpenSelection(sealed, schema, keys);
 }
 
 }  // namespace secmed

@@ -66,27 +66,25 @@ Result<DasRelation> DasEncryptRelation(
     SECMED_ASSIGN_OR_RETURN(size_t i, rel.schema().IndexOf(col));
     clear_idx.push_back(i);
   }
-  SECMED_ASSIGN_OR_RETURN(Aead aead, Aead::Create(etuple_key));
-  const Bytes ivs = rng->Generate(rel.size() * Aead::kIvSize);
   DasRelation out;
   out.tuples.resize(rel.size());
-  SECMED_RETURN_IF_ERROR(
-      ParallelForStatus(rel.size(), threads, [&](size_t i) -> Status {
-        const Tuple& t = rel.tuples()[i];
-        DasTuple& dt = out.tuples[i];
-        dt.join_indexes.reserve(col_idx.size());
-        for (size_t k = 0; k < col_idx.size(); ++k) {
-          SECMED_ASSIGN_OR_RETURN(uint64_t idx,
-                                  index_tables[k].IndexOf(t[col_idx[k]]));
-          dt.join_indexes.push_back(idx);
-        }
-        for (size_t c : clear_idx) dt.plaintext_cells.push_back(t[c]);
-        const auto iv = ivs.begin() + i * Aead::kIvSize;
-        SECMED_ASSIGN_OR_RETURN(
-            dt.etuple, aead.Seal(EncodeTuple(t), Bytes(),
-                                 Bytes(iv, iv + Aead::kIvSize)));
-        return Status::OK();
-      }, scope, label != nullptr ? label : "das.encrypt_relation"));
+  for (size_t i = 0; i < rel.size(); ++i) {
+    const Tuple& t = rel.tuples()[i];
+    DasTuple& dt = out.tuples[i];
+    dt.join_indexes.reserve(col_idx.size());
+    for (size_t k = 0; k < col_idx.size(); ++k) {
+      SECMED_ASSIGN_OR_RETURN(uint64_t idx,
+                              index_tables[k].IndexOf(t[col_idx[k]]));
+      dt.join_indexes.push_back(idx);
+    }
+    for (size_t c : clear_idx) dt.plaintext_cells.push_back(t[c]);
+  }
+  SECMED_ASSIGN_OR_RETURN(
+      std::vector<Bytes> etuples,
+      SealEtuples(etuple_key, rel.tuples(), rng, threads, scope, label));
+  for (size_t i = 0; i < rel.size(); ++i) {
+    out.tuples[i].etuple = std::move(etuples[i]);
+  }
   return out;
 }
 
@@ -98,6 +96,26 @@ Result<DasRelation> DasEncryptRelation(const Relation& rel,
   return DasEncryptRelation(rel, std::vector<std::string>{join_column},
                             std::vector<IndexTable>{index_table}, etuple_key,
                             rng);
+}
+
+Result<std::vector<Bytes>> SealEtuples(const Bytes& etuple_key,
+                                       const std::vector<Tuple>& tuples,
+                                       RandomSource* rng, size_t threads,
+                                       obs::Scope* scope, const char* label) {
+  SECMED_ASSIGN_OR_RETURN(Aead aead, Aead::Create(etuple_key));
+  const Bytes ivs = rng->Generate(tuples.size() * Aead::kIvSize);
+  std::vector<Bytes> etuples(tuples.size());
+  SECMED_RETURN_IF_ERROR(ParallelForStatus(
+      tuples.size(), threads,
+      [&](size_t i) -> Status {
+        const auto iv = ivs.begin() + i * Aead::kIvSize;
+        SECMED_ASSIGN_OR_RETURN(
+            etuples[i], aead.Seal(EncodeTuple(tuples[i]), Bytes(),
+                                  Bytes(iv, iv + Aead::kIvSize)));
+        return Status::OK();
+      },
+      scope, label));
+  return etuples;
 }
 
 Result<std::vector<Tuple>> OpenEtuples(const Bytes& etuple_key,

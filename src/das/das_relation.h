@@ -52,18 +52,14 @@ struct DasRelation {
 /// encrypted tuple still contains every column, so decryption is
 /// unchanged). Leave empty for the paper's fully encrypted model.
 ///
-/// Every IV is drawn from `rng` in tuple order, in one call, before
-/// `threads` sealing workers run, so the output is bit-identical for
-/// every thread count under a seeded `rng`.
-///
-/// A non-null `scope` instruments the sealing loop (per-worker spans and
-/// items counters under `label`, default "das.encrypt_relation").
+/// The etuples are sealed by SealEtuples with `threads`, `scope` and
+/// `label`.
 Result<DasRelation> DasEncryptRelation(
     const Relation& rel, const std::vector<std::string>& join_columns,
     const std::vector<IndexTable>& index_tables, const Bytes& etuple_key,
     RandomSource* rng, const std::vector<std::string>& plaintext_columns = {},
     size_t threads = 1, obs::Scope* scope = nullptr,
-    const char* label = nullptr);
+    const char* label = "das.encrypt_relation");
 
 /// Single-attribute convenience overload (the paper's base protocol).
 Result<DasRelation> DasEncryptRelation(const Relation& rel,
@@ -71,6 +67,17 @@ Result<DasRelation> DasEncryptRelation(const Relation& rel,
                                        const IndexTable& index_table,
                                        const Bytes& etuple_key,
                                        RandomSource* rng);
+
+/// Seals each tuple as an etuple under `etuple_key`, in order. Every IV
+/// is drawn from `rng` in tuple order, in one call, before `threads`
+/// sealing workers run, so the output is bit-identical for every thread
+/// count under a seeded `rng`. A non-null `scope` instruments the loop
+/// under `label` (per-worker spans and items counters).
+Result<std::vector<Bytes>> SealEtuples(const Bytes& etuple_key,
+                                       const std::vector<Tuple>& tuples,
+                                       RandomSource* rng, size_t threads = 1,
+                                       obs::Scope* scope = nullptr,
+                                       const char* label = "das.seal_etuples");
 
 /// Opens etuples sealed under `etuple_key` and decodes their tuples, in
 /// order. Fails with kCryptoError on a tampered etuple or a wrong key.

@@ -1,7 +1,8 @@
 #include "das/searchable.h"
 
-#include "crypto/hybrid.h"
+#include "crypto/aead.h"
 #include "crypto/sha256.h"
+#include "das/das_relation.h"
 #include "util/serialize.h"
 
 namespace secmed {
@@ -50,6 +51,7 @@ Bytes SearchKeys::Serialize() const {
   BinaryWriter w;
   w.WriteU32(static_cast<uint32_t>(column_keys.size()));
   for (const Bytes& k : column_keys) w.WriteBytes(k);
+  w.WriteBytes(row_key);
   return w.TakeBuffer();
 }
 
@@ -65,6 +67,7 @@ Result<SearchKeys> SearchKeys::Deserialize(const Bytes& data) {
     }
     keys.column_keys.push_back(std::move(k));
   }
+  SECMED_ASSIGN_OR_RETURN(keys.row_key, r.ReadBytes());
   if (!r.AtEnd()) return Status::ParseError("trailing bytes in search keys");
   return keys;
 }
@@ -75,6 +78,7 @@ SearchKeys GenerateSearchKeys(const Schema& schema, RandomSource* rng) {
   for (size_t i = 0; i < schema.size(); ++i) {
     keys.column_keys.push_back(rng->Generate(kColumnKeyLen));
   }
+  keys.row_key = Aead::GenerateKey(rng);
   return keys;
 }
 
@@ -86,18 +90,19 @@ Bytes SearchTag(const Bytes& column_key, const Value& v) {
 
 Result<SearchableRelation> SearchableEncrypt(const Relation& rel,
                                              const SearchKeys& keys,
-                                             const RsaPublicKey& client_key,
                                              RandomSource* rng) {
   if (keys.column_keys.size() != rel.schema().size()) {
     return Status::InvalidArgument("search keys do not match the schema");
   }
+  SECMED_ASSIGN_OR_RETURN(std::vector<Bytes> sealed,
+                          SealEtuples(keys.row_key, rel.tuples(), rng));
   SearchableRelation out;
   out.schema = rel.schema();
   out.rows.reserve(rel.size());
-  for (const Tuple& t : rel.tuples()) {
+  for (size_t r = 0; r < rel.size(); ++r) {
+    const Tuple& t = rel.tuples()[r];
     SearchableRow row;
-    SECMED_ASSIGN_OR_RETURN(row.sealed_tuple,
-                            HybridEncrypt(client_key, EncodeTuple(t), rng));
+    row.sealed_tuple = std::move(sealed[r]);
     row.tags.reserve(t.size());
     for (size_t i = 0; i < t.size(); ++i) {
       // NULL cells carry an empty tag: NULL = NULL is never true in SQL,
@@ -177,14 +182,11 @@ Result<std::vector<Bytes>> EvaluateSelection(const SearchableRelation& rel,
 }
 
 Result<Relation> OpenSelection(const std::vector<Bytes>& sealed_rows,
-                               const Schema& schema,
-                               const RsaPrivateKey& client_key) {
+                               const Schema& schema, const SearchKeys& keys) {
+  SECMED_ASSIGN_OR_RETURN(std::vector<Tuple> tuples,
+                          OpenEtuples(keys.row_key, sealed_rows));
   Relation out(schema);
-  for (const Bytes& sealed : sealed_rows) {
-    SECMED_ASSIGN_OR_RETURN(Bytes plain, HybridDecrypt(client_key, sealed));
-    SECMED_ASSIGN_OR_RETURN(Tuple t, DecodeTuple(plain));
-    SECMED_RETURN_IF_ERROR(out.Append(std::move(t)));
-  }
+  for (Tuple& t : tuples) SECMED_RETURN_IF_ERROR(out.Append(std::move(t)));
   return out;
 }
 

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "crypto/rsa.h"
 #include "relational/predicate.h"
 #include "relational/relation.h"
 #include "util/result.h"
@@ -19,10 +18,11 @@ namespace secmed {
 /// returns the exact set of encrypted values that satisfy the condition."
 ///
 /// Our instantiation is a searchable symmetric encryption: each row is
-/// hybrid-encrypted for the client, and every cell additionally carries a
-/// deterministic *search tag* HMAC(k_col, value) truncated to 128 bits.
-/// The data owner's column keys k_col are shared with the client (sealed
-/// under its public key); to select rows with col = v the client computes
+/// sealed as an etuple under a row key, and every cell additionally
+/// carries a deterministic *search tag* HMAC(k_col, value) truncated to
+/// 128 bits. The data owner's row key and column keys k_col are shared
+/// with the client (sealed under its public key); to select rows with
+/// col = v the client computes
 /// the token HMAC(k_col, v) and the untrusted evaluator matches tags —
 /// learning only which hidden rows satisfy the (hidden) condition, plus
 /// the tag-equality pattern across rows.
@@ -48,9 +48,11 @@ struct SearchableRelation {
   static Result<SearchableRelation> Deserialize(const Bytes& data);
 };
 
-/// Per-relation search keys: one independent key per column.
+/// Per-relation keys: one independent search key per column, and the key
+/// the rows are sealed under.
 struct SearchKeys {
   std::vector<Bytes> column_keys;  // 32 bytes each
+  Bytes row_key;                   // an Aead key
 
   Bytes Serialize() const;
   static Result<SearchKeys> Deserialize(const Bytes& data);
@@ -62,11 +64,10 @@ SearchKeys GenerateSearchKeys(const Schema& schema, RandomSource* rng);
 /// Search tag of one value under one column key (16 bytes).
 Bytes SearchTag(const Bytes& column_key, const Value& v);
 
-/// Encrypts a relation searchably: rows sealed to `client_key`, tags from
-/// `keys`.
+/// Encrypts a relation searchably: rows sealed under `keys.row_key`, tags
+/// from the column keys.
 Result<SearchableRelation> SearchableEncrypt(const Relation& rel,
                                              const SearchKeys& keys,
-                                             const RsaPublicKey& client_key,
                                              RandomSource* rng);
 
 /// A selection token: conjunction of (column, tag) equality conditions.
@@ -87,10 +88,9 @@ Result<SelectionToken> MakeSelectionToken(
 Result<std::vector<Bytes>> EvaluateSelection(const SearchableRelation& rel,
                                              const SelectionToken& token);
 
-/// Client-side: decrypts the selected rows.
+/// Client-side: opens the selected rows with `keys.row_key`.
 Result<Relation> OpenSelection(const std::vector<Bytes>& sealed_rows,
-                               const Schema& schema,
-                               const RsaPrivateKey& client_key);
+                               const Schema& schema, const SearchKeys& keys);
 
 }  // namespace secmed
 

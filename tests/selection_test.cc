@@ -14,14 +14,6 @@
 namespace secmed {
 namespace {
 
-const RsaPrivateKey& ClientKey() {
-  static const RsaPrivateKey* key = [] {
-    HmacDrbg rng(ToBytes("sel-client"));
-    return new RsaPrivateKey(RsaGenerateKey(1024, &rng).value());
-  }();
-  return *key;
-}
-
 Relation Cases() {
   Relation r{Schema({{"id", ValueType::kInt64},
                      {"diag", ValueType::kString},
@@ -48,7 +40,7 @@ TEST(SearchableTest, EncryptSelectOpenRoundTrip) {
   Relation rel = Cases();
   SearchKeys keys = GenerateSearchKeys(rel.schema(), &rng);
   SearchableRelation enc =
-      SearchableEncrypt(rel, keys, ClientKey().PublicKey(), &rng).value();
+      SearchableEncrypt(rel, keys, &rng).value();
   EXPECT_EQ(enc.size(), rel.size());
 
   SelectionToken token =
@@ -56,7 +48,7 @@ TEST(SearchableTest, EncryptSelectOpenRoundTrip) {
           .value();
   std::vector<Bytes> rows = EvaluateSelection(enc, token).value();
   EXPECT_EQ(rows.size(), 2u);
-  Relation opened = OpenSelection(rows, rel.schema(), ClientKey()).value();
+  Relation opened = OpenSelection(rows, rel.schema(), keys).value();
   for (const Tuple& t : opened.tuples()) EXPECT_EQ(t[1], Value::Str("flu"));
 }
 
@@ -65,7 +57,7 @@ TEST(SearchableTest, ConjunctiveToken) {
   Relation rel = Cases();
   SearchKeys keys = GenerateSearchKeys(rel.schema(), &rng);
   SearchableRelation enc =
-      SearchableEncrypt(rel, keys, ClientKey().PublicKey(), &rng).value();
+      SearchableEncrypt(rel, keys, &rng).value();
   SelectionToken token =
       MakeSelectionToken(keys, rel.schema(),
                          {{"diag", Value::Str("flu")},
@@ -73,7 +65,7 @@ TEST(SearchableTest, ConjunctiveToken) {
           .value();
   std::vector<Bytes> rows = EvaluateSelection(enc, token).value();
   ASSERT_EQ(rows.size(), 1u);
-  Relation opened = OpenSelection(rows, rel.schema(), ClientKey()).value();
+  Relation opened = OpenSelection(rows, rel.schema(), keys).value();
   EXPECT_EQ(opened.at(0, 0), Value::Int(3));
 }
 
@@ -82,7 +74,7 @@ TEST(SearchableTest, NullCellsNeverMatch) {
   Relation rel = Cases();
   SearchKeys keys = GenerateSearchKeys(rel.schema(), &rng);
   SearchableRelation enc =
-      SearchableEncrypt(rel, keys, ClientKey().PublicKey(), &rng).value();
+      SearchableEncrypt(rel, keys, &rng).value();
   // No token can be built for NULL; and the NULL cell's empty tag matches
   // nothing, including an empty probe.
   EXPECT_FALSE(
@@ -98,12 +90,13 @@ TEST(SearchableTest, SerializeRoundTrips) {
   Relation rel = Cases();
   SearchKeys keys = GenerateSearchKeys(rel.schema(), &rng);
   SearchableRelation enc =
-      SearchableEncrypt(rel, keys, ClientKey().PublicKey(), &rng).value();
+      SearchableEncrypt(rel, keys, &rng).value();
   SearchableRelation enc2 =
       SearchableRelation::Deserialize(enc.Serialize()).value();
   EXPECT_EQ(enc2.size(), enc.size());
   SearchKeys keys2 = SearchKeys::Deserialize(keys.Serialize()).value();
   EXPECT_EQ(keys2.column_keys, keys.column_keys);
+  EXPECT_EQ(keys2.row_key, keys.row_key);
   SelectionToken token =
       MakeSelectionToken(keys2, rel.schema(), {{"region", Value::Str("n")}})
           .value();
@@ -117,7 +110,7 @@ TEST(SearchableTest, WrongKeysFindNothing) {
   SearchKeys keys = GenerateSearchKeys(rel.schema(), &rng);
   SearchKeys other = GenerateSearchKeys(rel.schema(), &rng);
   SearchableRelation enc =
-      SearchableEncrypt(rel, keys, ClientKey().PublicKey(), &rng).value();
+      SearchableEncrypt(rel, keys, &rng).value();
   SelectionToken token =
       MakeSelectionToken(other, rel.schema(), {{"diag", Value::Str("flu")}})
           .value();
