@@ -184,6 +184,14 @@ CostEstimate CostModel::Predict(const std::string& protocol,
 // index tables; the mediator joins on bucket identifiers, producing the
 // superset RC of all tuple pairs whose buckets overlap; the client
 // decrypts RC and filters the false positives.
+//
+// This estimate is pessimistic: it still prices an RSA seal per tuple, an
+// RSA open per distinct etuple and two etuples per pair of RC. The
+// protocol now seals every etuple under one key per source (two RSA opens
+// per query) and sends each etuple of RC once. It is kept until the model
+// prices the prepared cache as well: every query is priced cold, so a DAS
+// estimate repriced alone can make `auto` pick DAS on a warm service,
+// where the commutative join's cache hits are faster.
 CostEstimate CostModel::PredictDas(const TableStats& s1, const TableStats& s2,
                                    const ProtocolParams& params) const {
   CostEstimate est;
@@ -224,9 +232,8 @@ CostEstimate CostModel::PredictDas(const TableStats& s1, const TableStats& s2,
   est.client_bytes = rc_bytes + 1024.0;
   est.frames = kDasDeliveryFrames;
 
-  // Client: RC pairs reference n1+n2 distinct etuples, and repeated
-  // blobs are decrypted once (memoized via the prepared cache), so the
-  // RSA work is bounded by the distinct count; the per-byte work is not.
+  // Client: RC pairs reference n1+n2 distinct etuples, each priced as one
+  // hybrid open; the per-byte work is priced per pair.
   double distinct_decrypts = std::min(2.0 * superset, n1 + n2) + 2.0;
   double decrypt_ms =
       distinct_decrypts * profile_.hybrid_decrypt_us * rsa_scale * 1e-3 +
