@@ -6,9 +6,11 @@
 // a join value, dropping its tuples from the result.
 //
 // The invariants these tests pin down are therefore:
-//   1. no fabrication — a tampered run never *invents* result tuples: every
-//      returned tuple also appears in the reference result (AEAD tags and
-//      value fingerprints make spurious matches infeasible);
+//   1. no fabrication — a byte-flipped or truncated run never *invents*
+//      result tuples: every returned tuple also appears in the reference
+//      result (AEAD tags and value fingerprints make spurious matches
+//      infeasible); a mediator that re-pairs or repeats its matches is
+//      caught by the clients (MediatorRewrite below);
 //   2. frequent detection — corruption of integrity-protected messages
 //      fails loudly;
 //   3. clean failure — misrouting or truncation yields error statuses, not
