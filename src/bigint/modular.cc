@@ -172,7 +172,7 @@ BigInt MulImpl(const RawView<L>& p, const BigInt& modulus, const BigInt& a,
                const BigInt& b) {
   std::vector<L> av = PackReduced<L>(a, modulus, p.n);
   std::vector<L> bv = PackReduced<L>(b, modulus, p.n);
-  std::vector<L> t(p.n + 2);
+  std::vector<L> t(p.n);
   montk::MulInto(av.data(), av.data(), bv.data(), p.mod, p.inv, p.n,
                  t.data());
   montk::MulInto(av.data(), av.data(), p.r2, p.mod, p.inv, p.n,
@@ -183,7 +183,7 @@ BigInt MulImpl(const RawView<L>& p, const BigInt& modulus, const BigInt& a,
 template <typename L>
 BigInt SqrImpl(const RawView<L>& p, const BigInt& modulus, const BigInt& a) {
   std::vector<L> av = PackReduced<L>(a, modulus, p.n);
-  std::vector<L> scratch(2 * p.n + 2);
+  std::vector<L> scratch(p.n);
   montk::SqrInto(av.data(), av.data(), p.mod, p.inv, p.n,
                  scratch.data());
   montk::MulInto(av.data(), av.data(), p.r2, p.mod, p.inv, p.n,
@@ -192,7 +192,7 @@ BigInt SqrImpl(const RawView<L>& p, const BigInt& modulus, const BigInt& a) {
 }
 
 /// acc = base_mont^rec in the Montgomery domain, allocation-free per step.
-/// Layout of *work: [odd-power table: odd_count*n][base²: n][scratch: 2n+2].
+/// Layout of *work: [odd-power table: odd_count*n][base²: n][scratch: n].
 template <typename L>
 void ExpMontImpl(const RawView<L>& p, L* acc, const L* base_mont,
                  const ExponentRecoding& rec, std::vector<L>* work) {
@@ -202,7 +202,7 @@ void ExpMontImpl(const RawView<L>& p, L* acc, const L* base_mont,
     return;
   }
   const size_t odd_count = static_cast<size_t>(1) << (rec.window_bits() - 1);
-  work->resize((odd_count + 1) * n + 2 * n + 2);
+  work->resize((odd_count + 2) * n);
   L* odd = work->data();
   L* base_sq = odd + odd_count * n;
   L* scratch = base_sq + n;
@@ -239,7 +239,7 @@ BigInt ExpImpl(const RawView<L>& p, const BigInt& modulus, const BigInt& base,
                const ExponentRecoding& rec) {
   const size_t n = p.n;
   std::vector<L> base_mont = PackReduced<L>(base, modulus, n);
-  std::vector<L> scratch(2 * n + 2);
+  std::vector<L> scratch(n);
   montk::MulInto(base_mont.data(), base_mont.data(), p.r2, p.mod,
                  p.inv, n, scratch.data());
   std::vector<L> acc(n);
@@ -303,14 +303,14 @@ BigInt MontgomeryContext::LimbsToBigInt(const Limb* a) const {
 
 BigInt MontgomeryContext::ToMont(const BigInt& x) const {
   std::vector<Limb> out(n_);
-  std::vector<Limb> scratch(n_ + 2);
+  std::vector<Limb> scratch(n_);
   ToMontInto(out.data(), x, scratch.data());
   return UnpackLimbs(out.data(), n_);
 }
 
 BigInt MontgomeryContext::FromMont(const BigInt& x) const {
   std::vector<Limb> xv = PackReduced<Limb>(x, modulus_, n_);
-  std::vector<Limb> scratch(n_ + 2);
+  std::vector<Limb> scratch(n_);
   FromMontInto(xv.data(), xv.data(), scratch.data());
   return UnpackLimbs(xv.data(), n_);
 }
@@ -318,7 +318,7 @@ BigInt MontgomeryContext::FromMont(const BigInt& x) const {
 BigInt MontgomeryContext::MulMont(const BigInt& a, const BigInt& b) const {
   std::vector<Limb> av = PackReduced<Limb>(a, modulus_, n_);
   std::vector<Limb> bv = PackReduced<Limb>(b, modulus_, n_);
-  std::vector<Limb> scratch(n_ + 2);
+  std::vector<Limb> scratch(n_);
   MontMulInto(av.data(), av.data(), bv.data(), scratch.data());
   return UnpackLimbs(av.data(), n_);
 }

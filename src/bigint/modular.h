@@ -91,9 +91,10 @@ class MontgomeryContext {
 
   /// Limbs per value in this context (ceil(bits(m) / kLimbBits)).
   size_t limb_count() const { return n_; }
-  /// Scratch limbs every raw-span operation below needs (covers both the
-  /// CIOS multiply and the wider squaring product).
-  size_t scratch_limbs() const { return 2 * n_ + 2; }
+  /// Scratch limbs every raw-span operation below needs: the product-
+  /// scanning kernels keep each column in registers and only store the n
+  /// reduction digits u_k, which the result limbs then overwrite.
+  size_t scratch_limbs() const { return n_; }
 
   /// dst = a·b·R^-1 mod m over raw spans, all limb_count() limbs, a and b
   /// in the Montgomery domain and < m. scratch holds scratch_limbs().
@@ -103,7 +104,7 @@ class MontgomeryContext {
     montk::MulInto(dst, a, b, mod_.data(), inv_, n_, scratch);
   }
   /// dst = a²·R^-1 mod m (dedicated squaring: symmetric partial products
-  /// computed once). dst may alias a.
+  /// summed once per column and doubled). dst may alias a.
   void MontSqrInto(Limb* dst, const Limb* a, Limb* scratch) const {
     montk::SqrInto(dst, a, mod_.data(), inv_, n_, scratch);
   }

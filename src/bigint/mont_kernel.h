@@ -1,11 +1,14 @@
 #ifndef SECMED_BIGINT_MONT_KERNEL_H_
 #define SECMED_BIGINT_MONT_KERNEL_H_
 
-// Raw-limb Montgomery kernels: CIOS multiplication, SOS squaring with the
-// symmetric partial products computed once, and the final conditional
-// subtraction. Everything here works on caller-owned spans and caller-owned
-// scratch — no allocation, no BigInt — so the exponentiation loops layered
-// on top run allocation-free per step.
+// Raw-limb Montgomery kernels: multiplication and squaring by finely
+// integrated product scanning (FIPS; Koç, Acar and Kaliski, IEEE Micro
+// 1996), and the final conditional subtraction. FIPS sums each output
+// column of a·b + u·m in a three-limb register accumulator, so the only
+// memory a kernel writes besides dst is n limbs of caller scratch (the
+// reduction digits u_k, then the result). Everything here works on
+// caller-owned spans — no allocation, no BigInt — so the exponentiation
+// loops layered on top run allocation-free per step.
 //
 // The kernels are templated on the limb type. The native width is 64 bits
 // (with unsigned __int128 accumulators) wherever the compiler provides
@@ -112,108 +115,88 @@ inline void CondSubM(L* dst, const L* t, const L* m, std::size_t n, bool hi) {
   }
 }
 
-/// Montgomery product dst = a·b·R^{-1} mod m (CIOS, coarsely integrated
-/// operand scanning). a and b must be < m, n limbs each; `t` is caller
-/// scratch of at least n+2 limbs. dst may alias a and/or b (the result is
-/// accumulated in t and only written to dst at the end).
+/// acc·top += x·y, where the column accumulator's low two limbs live in
+/// acc and its third limb in top.
+template <typename L>
+inline void MulAcc(typename Wide<L>::type& acc, L& top, L x, L y) {
+  const typename Wide<L>::type p = static_cast<typename Wide<L>::type>(x) * y;
+  acc += p;
+  top += acc < p;
+}
+
+/// Montgomery product dst = a·b·R^{-1} mod m (FIPS, finely integrated
+/// product scanning). Column k of the 2n-limb product sums a_j·b_(k-j) and
+/// u_j·m_(k-j) in a three-limb register accumulator. A column k < n then
+/// picks u_k = low limb · inv, which clears the low limb; a column k >= n
+/// emits result limb k-n. a and b must be < m, n limbs each; `t` is caller
+/// scratch of n limbs holding u_k, each slot overwritten by result limb k-n
+/// once no later column reads u_(k-n). dst may alias a and/or b: it is only
+/// written by the final conditional subtraction.
 template <typename L>
 inline void MulInto(L* dst, const L* a, const L* b, const L* m, L inv,
                     std::size_t n, L* t) {
   using W = typename Wide<L>::type;
   constexpr int B = kBits<L>;
   g_mul_calls.fetch_add(1, std::memory_order_relaxed);
-  for (std::size_t j = 0; j < n + 2; ++j) t[j] = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    // t += a[i] * b
-    W carry = 0;
-    const W ai = a[i];
-    for (std::size_t j = 0; j < n; ++j) {
-      const W cur = static_cast<W>(t[j]) + ai * b[j] + carry;
-      t[j] = static_cast<L>(cur);
-      carry = cur >> B;
+  W acc = 0;
+  L top = 0;
+  for (std::size_t k = 0; k < 2 * n; ++k) {
+    const std::size_t lo = k < n ? 0 : k - n + 1;
+    const std::size_t hi = k < n ? k : n;
+    for (std::size_t j = lo; j < hi; ++j) {
+      MulAcc(acc, top, a[j], b[k - j]);
+      MulAcc(acc, top, t[j], m[k - j]);
     }
-    W cur = static_cast<W>(t[n]) + carry;
-    t[n] = static_cast<L>(cur);
-    t[n + 1] = static_cast<L>(cur >> B);
-
-    // m_i = t[0] * inv mod 2^B; t = (t + m_i * m) / 2^B
-    const L mi = static_cast<L>(t[0] * inv);
-    cur = static_cast<W>(t[0]) + static_cast<W>(mi) * m[0];
-    carry = cur >> B;
-    for (std::size_t j = 1; j < n; ++j) {
-      cur = static_cast<W>(t[j]) + static_cast<W>(mi) * m[j] + carry;
-      t[j - 1] = static_cast<L>(cur);
-      carry = cur >> B;
+    if (k < n) {
+      MulAcc(acc, top, a[k], b[0]);
+      t[k] = static_cast<L>(static_cast<L>(acc) * inv);
+      MulAcc(acc, top, t[k], m[0]);
+    } else {
+      t[k - n] = static_cast<L>(acc);
     }
-    cur = static_cast<W>(t[n]) + carry;
-    t[n - 1] = static_cast<L>(cur);
-    t[n] = t[n + 1] + static_cast<L>(cur >> B);
-    t[n + 1] = 0;
+    acc = (acc >> B) | (static_cast<W>(top) << B);
+    top = 0;
   }
-  CondSubM(dst, t, m, n, t[n] != 0);
+  CondSubM(dst, t, m, n, acc != 0);
 }
 
-/// Montgomery square dst = a²·R^{-1} mod m. Separated operand scanning
-/// with the symmetric cross products a_i·a_j (i < j) computed once and
-/// doubled — roughly one third fewer limb multiplications than
-/// MulInto(a, a). a must be < m, n limbs; `p` is caller scratch of at
-/// least 2n+2 limbs. dst may alias a.
+/// Montgomery square dst = a²·R^{-1} mod m: MulInto's column scan, with
+/// each column's cross products a_j·a_(k-j) (j < k-j) summed once, the sum
+/// doubled and the diagonal a_(k/2)² added. a must be < m, n limbs; `t` is
+/// caller scratch of n limbs, used as in MulInto. dst may alias a.
 template <typename L>
 inline void SqrInto(L* dst, const L* a, const L* m, L inv, std::size_t n,
-                    L* p) {
+                    L* t) {
   using W = typename Wide<L>::type;
   constexpr int B = kBits<L>;
   g_sqr_calls.fetch_add(1, std::memory_order_relaxed);
-  for (std::size_t k = 0; k < 2 * n + 2; ++k) p[k] = 0;
-  // Cross products: row i touches p[2i+1 .. i+n-1] and stores its carry at
-  // p[i+n], which no earlier row has written (row k < i tops out at k+n).
-  for (std::size_t i = 0; i < n; ++i) {
-    W carry = 0;
-    const W ai = a[i];
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const W cur = static_cast<W>(p[i + j]) + ai * a[j] + carry;
-      p[i + j] = static_cast<L>(cur);
-      carry = cur >> B;
-    }
-    p[i + n] = static_cast<L>(carry);
-  }
-  // Double the cross half; 2·Σ_{i<j} a_i·a_j <= a² < 2^{2nB} so nothing
-  // shifts out of limb 2n-1.
+  W acc = 0;
   L top = 0;
   for (std::size_t k = 0; k < 2 * n; ++k) {
-    const L v = p[k];
-    p[k] = static_cast<L>(v << 1) | top;
-    top = v >> (B - 1);
-  }
-  // Add the diagonal squares a_i² at limb position 2i.
-  W carry = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const W s = static_cast<W>(a[i]) * a[i];
-    const W lo = static_cast<W>(p[2 * i]) + static_cast<L>(s) + carry;
-    p[2 * i] = static_cast<L>(lo);
-    const W hi = static_cast<W>(p[2 * i + 1]) + static_cast<L>(s >> B) +
-                 (lo >> B);
-    p[2 * i + 1] = static_cast<L>(hi);
-    carry = hi >> B;
-  }
-  // carry == 0 here: the full square fits exactly 2n limbs.
-  // Montgomery reduction of the 2n-limb product, one limb per pass. The
-  // ripple after each pass stays inside p[..2n+1] (value < 2·R·m).
-  for (std::size_t i = 0; i < n; ++i) {
-    const L mi = static_cast<L>(p[i] * inv);
-    W c = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const W cur = static_cast<W>(p[i + j]) + static_cast<W>(mi) * m[j] + c;
-      p[i + j] = static_cast<L>(cur);
-      c = cur >> B;
+    const std::size_t lo = k < n ? 0 : k - n + 1;
+    const std::size_t hi = k < n ? k : n;
+    W cross = 0;
+    L cross_top = 0;
+    for (std::size_t j = lo; j < k - j; ++j) {
+      MulAcc(cross, cross_top, a[j], a[k - j]);
     }
-    for (std::size_t k = i + n; c != 0; ++k) {
-      const W cur = static_cast<W>(p[k]) + c;
-      p[k] = static_cast<L>(cur);
-      c = cur >> B;
+    cross_top = static_cast<L>(cross_top << 1) |
+                static_cast<L>(cross >> (2 * B - 1));
+    cross <<= 1;
+    if (k % 2 == 0) MulAcc(cross, cross_top, a[k / 2], a[k / 2]);
+    acc += cross;
+    top += cross_top + (acc < cross);
+    for (std::size_t j = lo; j < hi; ++j) MulAcc(acc, top, t[j], m[k - j]);
+    if (k < n) {
+      t[k] = static_cast<L>(static_cast<L>(acc) * inv);
+      MulAcc(acc, top, t[k], m[0]);
+    } else {
+      t[k - n] = static_cast<L>(acc);
     }
+    acc = (acc >> B) | (static_cast<W>(top) << B);
+    top = 0;
   }
-  CondSubM(dst, p + n, m, n, p[2 * n] != 0);
+  CondSubM(dst, t, m, n, acc != 0);
 }
 
 }  // namespace montk
