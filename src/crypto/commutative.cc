@@ -5,19 +5,16 @@
 
 namespace secmed {
 
-CommutativeKey::CommutativeKey(QrGroup group, BigInt e, BigInt e_inv)
-    : group_(std::move(group)), e_(std::move(e)), e_inv_(std::move(e_inv)) {
+CommutativeKey::CommutativeKey(QrGroup group, BigInt e)
+    : group_(std::move(group)), e_(std::move(e)) {
   rec_e_ = std::make_shared<const ExponentRecoding>(ExponentRecoding::Create(e_));
-  rec_e_inv_ =
-      std::make_shared<const ExponentRecoding>(ExponentRecoding::Create(e_inv_));
 }
 
 CommutativeKey CommutativeKey::Generate(const QrGroup& group,
                                         RandomSource* rng) {
   // e uniform in [1, q); q is prime so every such e is invertible.
   BigInt e = BigInt::RandomBelow(group.q() - BigInt(1), rng) + BigInt(1);
-  BigInt e_inv = ModInverse(e, group.q()).value();
-  return CommutativeKey(group, std::move(e), std::move(e_inv));
+  return CommutativeKey(group, std::move(e));
 }
 
 Result<CommutativeKey> CommutativeKey::FromExponent(const QrGroup& group,
@@ -25,16 +22,15 @@ Result<CommutativeKey> CommutativeKey::FromExponent(const QrGroup& group,
   if (e < BigInt(1) || e >= group.q()) {
     return Status::InvalidArgument("exponent must be in [1, q)");
   }
-  SECMED_ASSIGN_OR_RETURN(BigInt e_inv, ModInverse(e, group.q()));
-  return CommutativeKey(group, e, std::move(e_inv));
+  return CommutativeKey(group, e);
 }
 
 BigInt CommutativeKey::Encrypt(const BigInt& x) const {
   return group_.PowWithRecoding(x, *rec_e_);
 }
 
-BigInt CommutativeKey::Decrypt(const BigInt& c) const {
-  return group_.PowWithRecoding(c, *rec_e_inv_);
+CommutativeKey CommutativeKey::Inverse() const {
+  return CommutativeKey(group_, ModInverse(e_, group_.q()).value());
 }
 
 std::vector<BigInt> CommutativeKey::EncryptMany(const std::vector<BigInt>& xs,

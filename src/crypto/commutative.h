@@ -19,13 +19,14 @@ namespace secmed {
 ///   - commutativity: f_e1(f_e2(x)) = x^(e1·e2) = f_e2(f_e1(x));
 ///   - bijectivity:   any e in [1, q) is coprime to q, so x -> x^e is a
 ///     permutation of QR(p);
-///   - invertibility: f_e^{-1} = f_d with d = e^{-1} mod q;
+///   - invertibility: f_e^{-1} = f_d with d = e^{-1} mod q (Inverse());
 ///   - secrecy:       distinguishing (x, x^e, y, y^e) from (x, x^e, y, z)
 ///     is the decisional Diffie–Hellman problem in QR(p).
 ///
-/// The exponents e and e^{-1} are fixed for the key's lifetime, so both
-/// are window-recoded at construction; every Encrypt/Decrypt reuses the
-/// recoding instead of re-scanning the exponent.
+/// The exponent e is fixed for the key's lifetime, so it is window-recoded
+/// at construction; every Encrypt reuses the recoding instead of
+/// re-scanning the exponent. No protocol decrypts, so a key holds no
+/// inverse: Inverse() computes one when a decrypting key is asked for.
 class CommutativeKey {
  public:
   /// Draws a fresh secret exponent e uniformly from [1, q).
@@ -38,8 +39,9 @@ class CommutativeKey {
   /// f_e(x) = x^e mod p. `x` must be a group element.
   BigInt Encrypt(const BigInt& x) const;
 
-  /// f_e^{-1}(c) = c^(e^{-1} mod q) mod p.
-  BigInt Decrypt(const BigInt& c) const;
+  /// The decrypting key f_e^{-1} = f_d with d = e^{-1} mod q: its Encrypt
+  /// undoes this key's. Runs an extended Euclid per call.
+  CommutativeKey Inverse() const;
 
   /// Encrypts a batch under ParallelFor. The output order matches the
   /// input order regardless of thread count (encryption is deterministic,
@@ -53,14 +55,12 @@ class CommutativeKey {
   const QrGroup& group() const { return group_; }
 
  private:
-  CommutativeKey(QrGroup group, BigInt e, BigInt e_inv);
+  CommutativeKey(QrGroup group, BigInt e);
 
   QrGroup group_;
   BigInt e_;
-  BigInt e_inv_;
-  // Fixed exponents recoded once per key (shared so keys stay copyable).
+  // The fixed exponent recoded once per key (shared so keys stay copyable).
   std::shared_ptr<const ExponentRecoding> rec_e_;
-  std::shared_ptr<const ExponentRecoding> rec_e_inv_;
 };
 
 }  // namespace secmed

@@ -130,11 +130,12 @@ TEST(CommutativeFast, RecodedKeyMatchesGenericPow) {
   XoshiroRandomSource rng(501);
   QrGroup group = StandardGroup(256).value();
   CommutativeKey key = CommutativeKey::Generate(group, &rng);
+  const CommutativeKey inverse = key.Inverse();
   for (int trial = 0; trial < 8; ++trial) {
     BigInt x = group.RandomElement(&rng);
     BigInt c = key.Encrypt(x);
     EXPECT_EQ(c, group.Pow(x, key.exponent()));
-    EXPECT_EQ(key.Decrypt(c), x);
+    EXPECT_EQ(inverse.Encrypt(c), x);
   }
 }
 
