@@ -1,22 +1,13 @@
 #include "bigint/modular.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <utility>
 
 #include "bigint/fastexp.h"
 
 namespace secmed {
-
-BigInt Gcd(const BigInt& a, const BigInt& b) {
-  BigInt x = a.Abs();
-  BigInt y = b.Abs();
-  while (!y.is_zero()) {
-    BigInt r = x % y;
-    x = y;
-    y = r;
-  }
-  return x;
-}
 
 BigInt Lcm(const BigInt& a, const BigInt& b) {
   if (a.is_zero() || b.is_zero()) return BigInt();
@@ -249,7 +240,51 @@ BigInt ExpImpl(const RawView<L>& p, const BigInt& modulus, const BigInt& base,
                  scratch.data());
   return UnpackLimbs(acc.data(), n);
 }
+
+/// Shifts the nonzero value v (*n significant limbs) right past its
+/// trailing zero bits, zeroing the limbs it vacates; returns the shift and
+/// leaves *n at the result's significant limb count.
+size_t ShiftOutZeros(uint64_t* v, size_t* n) {
+  size_t limbs = 0;
+  while (v[limbs] == 0) ++limbs;
+  const int bits = std::countr_zero(v[limbs]);
+  for (size_t i = limbs; i < *n; ++i) {
+    uint64_t x = v[i] >> bits;
+    if (bits != 0 && i + 1 < *n) x |= v[i + 1] << (64 - bits);
+    v[i - limbs] = x;
+  }
+  for (size_t i = *n - limbs; i < *n; ++i) v[i] = 0;
+  *n -= limbs;
+  while (v[*n - 1] == 0) --*n;
+  return limbs * 64 + static_cast<size_t>(bits);
+}
 }  // namespace
+
+BigInt Gcd(const BigInt& a, const BigInt& b) {
+  if (a.is_zero()) return b.Abs();
+  if (b.is_zero()) return a.Abs();
+  // Binary GCD (Stein) over 64-bit limbs: take out the common power of
+  // two, then subtract the smaller odd value from the larger and shift
+  // out the difference's factors of two until it reaches zero.
+  size_t nx = (a.limbs().size() + 1) / 2;
+  size_t ny = (b.limbs().size() + 1) / 2;
+  const size_t width = std::max(nx, ny);
+  std::vector<uint64_t> x = PackLimbs<uint64_t>(a, width);
+  std::vector<uint64_t> y = PackLimbs<uint64_t>(b, width);
+  const size_t shift = std::min(ShiftOutZeros(x.data(), &nx),
+                                ShiftOutZeros(y.data(), &ny));
+  for (;;) {
+    if (nx > ny || (nx == ny && montk::GeN(x.data(), y.data(), nx))) {
+      std::swap(x, y);
+      std::swap(nx, ny);
+    }
+    montk::SubN(y.data(), y.data(), x.data(), ny);  // y >= x, both odd
+    while (ny > 0 && y[ny - 1] == 0) --ny;
+    if (ny == 0) break;
+    ShiftOutZeros(y.data(), &ny);
+  }
+  return UnpackLimbs(x.data(), nx) << shift;
+}
 
 Result<BigInt> ModExp(const BigInt& base, const BigInt& exp, const BigInt& m) {
   if (m.is_zero() || m.is_negative()) {

@@ -1,5 +1,8 @@
 #include "bigint/modular.h"
 
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "bigint/bigint.h"
@@ -15,6 +18,44 @@ TEST(GcdTest, KnownValues) {
   EXPECT_EQ(Gcd(BigInt(7), BigInt(0)).ToDecimal(), "7");
   EXPECT_EQ(Gcd(BigInt(0), BigInt(0)).ToDecimal(), "0");
   EXPECT_EQ(Gcd(BigInt(-12), BigInt(18)).ToDecimal(), "6");
+  EXPECT_EQ(Gcd(BigInt(-12), BigInt(-18)).ToDecimal(), "6");
+  EXPECT_EQ(Gcd(BigInt(-7), BigInt(0)).ToDecimal(), "7");
+  EXPECT_EQ(Gcd(BigInt(-9), BigInt(-9)).ToDecimal(), "9");
+  // Powers of two across limb boundaries: 2^100 and 3·2^64 share 2^64.
+  EXPECT_EQ(Gcd(BigInt(1) << 100, BigInt(3) << 64), BigInt(1) << 64);
+  EXPECT_EQ(Gcd(BigInt(5) << 200, BigInt(5) << 200), BigInt(5) << 200);
+  // 2^127 - 1 is prime; 2^254 - 1 = (2^127 - 1)(2^127 + 1).
+  const BigInt m127 = (BigInt(1) << 127) - BigInt(1);
+  EXPECT_EQ(Gcd((BigInt(1) << 254) - BigInt(1), m127 << 9), m127);
+}
+
+// Operand pairs the binary GCD special-cases, from 0 to 2048 bits: zero,
+// equal and negative operands, shared powers of two (within and across
+// 64-bit limbs) and planted common odd and even factors.
+std::vector<std::pair<BigInt, BigInt>> GcdCorpus() {
+  XoshiroRandomSource rng(43);
+  std::vector<std::pair<BigInt, BigInt>> cases;
+  for (size_t bits : {0, 1, 2, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255,
+                      512, 1024, 1500, 2048}) {
+    const BigInt a =
+        bits == 0 ? BigInt(0) : BigInt::RandomWithBits(bits, &rng);
+    const BigInt b = BigInt::RandomWithBits(bits / 2 + 1, &rng);
+    const BigInt c = BigInt::RandomWithBits(bits + 1, &rng);
+    const BigInt f = BigInt::RandomWithBits(bits / 3 + 2, &rng);
+    cases.push_back({a, BigInt(0)});
+    cases.push_back({BigInt(0), a});
+    cases.push_back({a, a});
+    cases.push_back({-a, -a});
+    cases.push_back({-a, b});
+    cases.push_back({c, -b});
+    cases.push_back({a, c});
+    cases.push_back({a << 7, b << 3});
+    cases.push_back({c << 70, b << 129});
+    cases.push_back({a * f, b * f});
+    cases.push_back({(c * f) << 64, -((b * f) << 66)});
+    cases.push_back({f, f * c});
+  }
+  return cases;
 }
 
 TEST(LcmTest, KnownValues) {
@@ -31,6 +72,14 @@ TEST(ExtendedGcdTest, BezoutIdentity) {
     ExtendedGcdResult e = ExtendedGcd(a, b);
     EXPECT_EQ(a * e.x + b * e.y, e.g);
     EXPECT_EQ(e.g, Gcd(a, b));
+  }
+  // Extended Euclid is the reference for the binary Gcd; its g carries
+  // a sign when an operand is negative.
+  for (const auto& [a, b] : GcdCorpus()) {
+    ExtendedGcdResult e = ExtendedGcd(a, b);
+    EXPECT_EQ(a * e.x + b * e.y, e.g) << "a=" << a << " b=" << b;
+    EXPECT_EQ(Gcd(a, b), e.g.Abs()) << "a=" << a << " b=" << b;
+    EXPECT_EQ(Gcd(b, a), e.g.Abs()) << "a=" << a << " b=" << b;
   }
 }
 
