@@ -5,7 +5,8 @@
 // m-1, dense-carry limbs (all-ones patterns that maximize carry ripple),
 // non-reduced and negative inputs — over moduli from a single limb up to
 // 2048 bits, for multiplication, the dedicated squaring and full
-// exponentiation. Deterministic seeds keep failures reproducible.
+// exponentiation, and through the raw spans with aliased destinations.
+// Deterministic seeds keep failures reproducible.
 
 #include <cstdint>
 #include <random>
@@ -182,20 +183,74 @@ TEST(KernelFuzz, ExpAgreesAcrossWindowSizes) {
 
 TEST(KernelFuzz, RandomizedMulSweep) {
   // Pure random sweep on top of the structured corpus: fresh moduli and
-  // operands every iteration, still fully seeded.
+  // operands every iteration, still fully seeded. Every fourth modulus has
+  // one of the widths the protocols run at (the 512-bit group, RSA and
+  // Paillier halves, Paillier's n²).
   std::mt19937_64 rng(0xC0FFEE05);
-  std::uniform_int_distribution<size_t> bit_dist(2, 700);
-  for (int iter = 0; iter < 200; ++iter) {
-    const BigInt m = RandomOddModulus(&rng, bit_dist(rng));
+  std::uniform_int_distribution<size_t> bit_dist(2, 2048);
+  const size_t protocol_bits[] = {512, 1024, 2048};
+  for (int iter = 0; iter < 240; ++iter) {
+    const size_t bits =
+        iter % 4 == 3 ? protocol_bits[(iter / 4) % 3] : bit_dist(rng);
+    const BigInt m = RandomOddModulus(&rng, bits);
     auto ctx = MontgomeryContext::Create(m).value();
     auto ref = MontgomeryContextRef32::Create(m).value();
     const BigInt a = BigInt::Mod(RandomBits(&rng, m.BitLength() + 11), m).value();
     const BigInt b = BigInt::Mod(RandomBits(&rng, m.BitLength() + 3), m).value();
     const BigInt expect = NaiveModMul(a, b, m);
+    const BigInt square = NaiveModMul(a, a, m);
     ASSERT_EQ(ctx.Mul(a, b), expect) << "iter=" << iter << " m=" << m.ToHex();
     ASSERT_EQ(ref.Mul(a, b), expect) << "iter=" << iter << " m=" << m.ToHex();
-    ASSERT_EQ(ctx.Sqr(a), NaiveModMul(a, a, m))
-        << "iter=" << iter << " m=" << m.ToHex();
+    ASSERT_EQ(ctx.Sqr(a), square) << "iter=" << iter << " m=" << m.ToHex();
+    ASSERT_EQ(ref.Sqr(a), square) << "iter=" << iter << " m=" << m.ToHex();
+  }
+}
+
+TEST(KernelFuzz, RawSpanAliasingMatchesOracle) {
+  // The product-scanning kernels read their inputs up to the last column,
+  // so a destination that aliases an input is the case they could get
+  // wrong. Drive the raw spans at 8, 16 and 32 native limbs with dst == a
+  // == b, dst == a and dst == b, each with exactly scratch_limbs() of
+  // scratch, and compare with the division oracle.
+  using Limb = MontgomeryContext::Limb;
+  std::mt19937_64 rng(0xC0FFEE06);
+  for (size_t limbs : {8, 16, 32}) {
+    const size_t bits = limbs * MontgomeryContext::kLimbBits;
+    for (const BigInt& m : {RandomOddModulus(&rng, bits), DenseCarry(bits),
+                            RandomOddModulus(&rng, bits - 1)}) {
+      SCOPED_TRACE("m=" + m.ToHex());
+      auto ctx = MontgomeryContext::Create(m).value();
+      const size_t n = ctx.limb_count();
+      std::vector<Limb> x(n), y(n), scratch(ctx.scratch_limbs());
+      auto check = [&](const std::vector<Limb>& mont, const BigInt& expect,
+                       const char* what) {
+        std::vector<Limb> plain(n);
+        ctx.FromMontInto(plain.data(), mont.data(), scratch.data());
+        EXPECT_EQ(ctx.LimbsToBigInt(plain.data()), expect) << what;
+      };
+      std::vector<BigInt> ops = {BigInt(0), BigInt(1), m - BigInt(1),
+                                 BigInt::Mod(DenseCarry(bits), m).value()};
+      for (int i = 0; i < 8; ++i) {
+        ops.push_back(BigInt::Mod(RandomBits(&rng, bits + 5), m).value());
+      }
+      for (size_t i = 0; i < ops.size(); ++i) {
+        const BigInt& a = ops[i];
+        const BigInt& b = ops[(i + 1) % ops.size()];
+        ctx.ToMontInto(x.data(), a, scratch.data());
+        ctx.MontMulInto(x.data(), x.data(), x.data(), scratch.data());
+        check(x, NaiveModMul(a, a, m), "mul dst == a == b");
+        ctx.ToMontInto(x.data(), a, scratch.data());
+        ctx.MontSqrInto(x.data(), x.data(), scratch.data());
+        check(x, NaiveModMul(a, a, m), "sqr dst == a");
+        ctx.ToMontInto(x.data(), a, scratch.data());
+        ctx.ToMontInto(y.data(), b, scratch.data());
+        ctx.MontMulInto(x.data(), x.data(), y.data(), scratch.data());
+        check(x, NaiveModMul(a, b, m), "mul dst == a");
+        ctx.ToMontInto(x.data(), a, scratch.data());
+        ctx.MontMulInto(y.data(), x.data(), y.data(), scratch.data());
+        check(y, NaiveModMul(a, b, m), "mul dst == b");
+      }
+    }
   }
 }
 
