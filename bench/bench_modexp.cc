@@ -7,7 +7,9 @@
 //   - Paillier encryption: naive r^n vs the recoded fixed exponent n;
 //   - Paillier decryption: single full-width exponentiation (no CRT) vs
 //     the two half-width CRT exponentiations — the ≥3x headline;
-//   - commutative encryption: generic Pow vs the once-per-key recoding.
+//   - commutative encryption: generic Pow vs the once-per-key recoding;
+//   - one Montgomery kernel call (mul and sqr) at 512, 1,024 and 2,048
+//     bits.
 //
 // Compare runs with tools/bench_diff.py.
 
@@ -16,6 +18,7 @@
 #include "bench_env.h"
 
 #include <memory>
+#include <vector>
 
 #include "bigint/fastexp.h"
 #include "bigint/modular.h"
@@ -132,6 +135,56 @@ void BM_ModExp_MontgomeryRecoded2048(benchmark::State& state) {
   state.counters["kernel_sqrs_per_op"] = static_cast<double>(kc.sqrs) / iters;
 }
 BENCHMARK(BM_ModExp_MontgomeryRecoded2048);
+
+// ------------------------------------------------------- Montgomery kernel
+//
+// One raw-span kernel call over an odd modulus of 512 (the commutative
+// group, RSA-CRT halves), 1,024 (Paillier CRT halves) or 2,048 bits
+// (Paillier n²), as a dependent chain: each call consumes the previous
+// result, so a row is ns per call. Multiplied by perfbench's exact
+// per-protocol mul/sqr counts, these rows price the kernel layer.
+struct MontKernelFixture {
+  MontgomeryContext ctx;
+  std::vector<MontgomeryContext::Limb> a, b, scratch;
+
+  explicit MontKernelFixture(size_t bits)
+      : ctx([bits] {
+          XoshiroRandomSource rng(7030);
+          BigInt m = BigInt::RandomWithBits(bits, &rng);
+          if (m.is_even()) m += BigInt(1);
+          return MontgomeryContext::Create(m).value();
+        }()),
+        a(ctx.limb_count()),
+        b(ctx.limb_count()),
+        scratch(ctx.scratch_limbs()) {
+    XoshiroRandomSource rng(7031);
+    ctx.ToMontInto(a.data(), BigInt::RandomBelow(ctx.modulus(), &rng),
+                   scratch.data());
+    ctx.ToMontInto(b.data(), BigInt::RandomBelow(ctx.modulus(), &rng),
+                   scratch.data());
+  }
+};
+
+void BM_MontKernel_Mul(benchmark::State& state) {
+  MontKernelFixture fx(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    fx.ctx.MontMulInto(fx.a.data(), fx.a.data(), fx.b.data(),
+                       fx.scratch.data());
+    benchmark::DoNotOptimize(fx.a.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_MontKernel_Mul)->Arg(512)->Arg(1024)->Arg(2048);
+
+void BM_MontKernel_Sqr(benchmark::State& state) {
+  MontKernelFixture fx(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    fx.ctx.MontSqrInto(fx.a.data(), fx.a.data(), fx.scratch.data());
+    benchmark::DoNotOptimize(fx.a.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_MontKernel_Sqr)->Arg(512)->Arg(1024)->Arg(2048);
 
 // ---------------------------------------------------------------- Paillier
 
