@@ -115,8 +115,9 @@ inline void CondSubM(L* dst, const L* t, const L* m, std::size_t n, bool hi) {
   }
 }
 
-/// acc·top += x·y, where the column accumulator's low two limbs live in
-/// acc and its third limb in top.
+/// (top:acc) += x·y. A column sums at most 2n + 1 products below 2^(2B)
+/// plus the previous column's carry, so three limbs hold it for any n the
+/// limb type can index.
 template <typename L>
 inline void MulAcc(typename Wide<L>::type& acc, L& top, L x, L y) {
   const typename Wide<L>::type p = static_cast<typename Wide<L>::type>(x) * y;
@@ -157,6 +158,7 @@ inline void MulInto(L* dst, const L* a, const L* b, const L* m, L inv,
     acc = (acc >> B) | (static_cast<W>(top) << B);
     top = 0;
   }
+  // acc is the carry above limb n-1: 0 or 1, since the result is < 2m.
   CondSubM(dst, t, m, n, acc != 0);
 }
 
