@@ -141,8 +141,9 @@ BENCHMARK(BM_ModExp_MontgomeryRecoded2048);
 // One raw-span kernel call over an odd modulus of 512 (the commutative
 // group, RSA-CRT halves), 1,024 (Paillier CRT halves) or 2,048 bits
 // (Paillier n²), as a dependent chain: each call consumes the previous
-// result, so a row is ns per call. Multiplied by perfbench's exact
-// per-protocol mul/sqr counts, these rows price the kernel layer.
+// result, so a row is ns per call. Multiplied by the exact mul/sqr counts
+// (perfbench's ledger, tests/op_count_test.cc), these rows price the
+// kernel layer.
 struct MontKernelFixture {
   MontgomeryContext ctx;
   std::vector<MontgomeryContext::Limb> a, b, scratch;
