@@ -90,7 +90,7 @@ void AblateDasStrategyUnderSkew() {
         return;
       }
       MediationTestbed& tb = **tb_or;
-      DasJoinProtocol das(DasProtocolOptions{strategies[s], 8, {}});
+      DasJoinProtocol das(DasProtocolOptions{strategies[s], 8});
       auto result = das.Run(tb.JoinSql(), tb.ctx());
       if (!result.ok()) return;
       factor[s] = result->empty()

@@ -54,7 +54,7 @@ int main() {
     DasJoinProtocol das(DasProtocolOptions{
         parts >= 48 ? PartitionStrategy::kSingleton
                     : PartitionStrategy::kEquiDepth,
-        parts, {}});
+        parts});
     auto result = das.Run(tb.JoinSql(), tb.ctx());
     if (!result.ok()) {
       std::printf("run failed: %s\n", result.status().ToString().c_str());

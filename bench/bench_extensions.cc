@@ -1,13 +1,13 @@
 // Extension experiments: the protocols this library adds on top of the
-// paper (Section 8 outlook + related-work lines), measured side by side.
+// paper's joins (its Section 8 outlook), measured side by side.
 //
 //  E1 — secure INTERSECTION (commutative vs private matching): wall time
 //       and client-bound bytes for the same workload.
 //  E2 — aggregation over ciphertexts vs "join then aggregate at client":
 //       the traffic and disclosure the aggregate protocol saves.
-//  E3 — exact-match selection (searchable tags, Yang et al.) vs bucketized
-//       range selection (Hore et al.) on the same point query: exactness
-//       vs inference-exposure trade-off.
+//
+// (E3, exact-match selection vs bucketized range selection, went with
+// those two survey protocols: no served path ran them.)
 
 #include <chrono>
 #include <cstdio>
@@ -15,8 +15,6 @@
 #include "core/aggregate_protocol.h"
 #include "core/commutative_protocol.h"
 #include "core/intersection_protocol.h"
-#include "core/range_protocol.h"
-#include "core/selection_protocol.h"
 #include "core/testbed.h"
 
 #include "bench_env.h"
@@ -129,70 +127,6 @@ void AggregatesVsFullJoin() {
               "the client)\n\n");
 }
 
-void SelectionVsRange() {
-  std::printf("--- E3: exact-match selection vs bucketized range query ---\n");
-  Relation readings{Schema({{"sensor", ValueType::kInt64},
-                            {"temp", ValueType::kInt64}})};
-  for (int i = 0; i < 200; ++i) {
-    (void)readings.Append({Value::Int(i), Value::Int((i * 13) % 500)});
-  }
-
-  auto run_env = [&](auto&& runner, const char* label, size_t* superset,
-                     size_t* result_rows) {
-    auto tb_or = MediationTestbed::Create(GenerateWorkload(WorkloadConfig{}));
-    if (!tb_or.ok()) {
-      std::printf("testbed setup failed: %s\n",
-                  tb_or.status().ToString().c_str());
-      return;
-    }
-    MediationTestbed& tb = **tb_or;
-    tb.source1().AddRelation("readings", readings);
-    tb.mediator().RegisterTable("readings", tb.source1().name(),
-                                readings.schema());
-    auto start = std::chrono::steady_clock::now();
-    auto res = runner(tb.ctx(), superset);
-    double ms = MsSince(start);
-    if (!res.ok()) {
-      std::printf("%s failed: %s\n", label, res.status().ToString().c_str());
-      return;
-    }
-    *result_rows = res->size();
-    std::printf("%-28s %8.1f ms   returned %4zu   exact %4zu\n", label, ms,
-                *superset, *result_rows);
-  };
-
-  size_t superset = 0, rows = 0;
-  run_env(
-      [&](ProtocolContext* ctx, size_t* sup) {
-        SelectionProtocol p;
-        auto r = p.Run("SELECT * FROM readings WHERE sensor = 77", ctx);
-        *sup = p.last_selected_rows();
-        return r;
-      },
-      "searchable (sensor = 77)", &superset, &rows);
-  run_env(
-      [&](ProtocolContext* ctx, size_t* sup) {
-        RangeSelectionProtocol p({PartitionStrategy::kEquiDepth, 8});
-        auto r = p.Run("SELECT * FROM readings WHERE sensor = 77", ctx);
-        *sup = p.last_superset_size();
-        return r;
-      },
-      "bucketized/8 (sensor = 77)", &superset, &rows);
-  run_env(
-      [&](ProtocolContext* ctx, size_t* sup) {
-        RangeSelectionProtocol p({PartitionStrategy::kEquiDepth, 8});
-        auto r = p.Run(
-            "SELECT * FROM readings WHERE temp >= 100 AND temp <= 150", ctx);
-        *sup = p.last_superset_size();
-        return r;
-      },
-      "bucketized/8 (temp 100-150)", &superset, &rows);
-  std::printf(
-      "(searchable tags return the exact rows but equal values share a tag;\n"
-      " buckets over-return yet reveal only bucket identifiers — Hore et "
-      "al.'s dial)\n");
-}
-
 }  // namespace
 
 int main() {
@@ -200,6 +134,5 @@ int main() {
   std::printf("=== Extension-protocol experiments ===\n\n");
   Intersections();
   AggregatesVsFullJoin();
-  SelectionVsRange();
   return 0;
 }

@@ -113,7 +113,7 @@ void RunProtocol(benchmark::State& state, JoinProtocol* protocol,
 
 void BM_Das_EndToEnd(benchmark::State& state) {
   Workload w = MakeWorkload(state.range(0), state.range(1));
-  DasJoinProtocol das(DasProtocolOptions{PartitionStrategy::kEquiDepth, 4, {}});
+  DasJoinProtocol das(DasProtocolOptions{PartitionStrategy::kEquiDepth, 4});
   RunProtocol(state, &das, w, "e2e-das");
 }
 BENCHMARK(BM_Das_EndToEnd)
@@ -193,7 +193,7 @@ BENCHMARK(BM_Commutative_Threads)
 
 void BM_Das_Threads(benchmark::State& state) {
   static const Workload* w = new Workload(MakeWorkload(1000, 400));
-  DasJoinProtocol das(DasProtocolOptions{PartitionStrategy::kEquiDepth, 8, {}});
+  DasJoinProtocol das(DasProtocolOptions{PartitionStrategy::kEquiDepth, 8});
   RunProtocol(state, &das, *w, "e2e-das-thr",
               static_cast<size_t>(state.range(0)));
 }

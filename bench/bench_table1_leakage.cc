@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     MediationTestbed& tb = **tb_or;
-    DasJoinProtocol das(DasProtocolOptions{PartitionStrategy::kEquiDepth, 4, {}});
+    DasJoinProtocol das(DasProtocolOptions{PartitionStrategy::kEquiDepth, 4});
     Relation result = das.Run(tb.JoinSql(), tb.ctx()).value();
     LeakageReport rep = AnalyzeLeakage(
         "das", tb.bus(), tb.mediator().name(), tb.client().name(), w.r1, w.r2,

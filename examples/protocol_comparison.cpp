@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   protocols.push_back(
       {"das (equi-depth/4)",
        std::make_unique<DasJoinProtocol>(
-           DasProtocolOptions{PartitionStrategy::kEquiDepth, 4, {}})});
+           DasProtocolOptions{PartitionStrategy::kEquiDepth, 4})});
   protocols.push_back(
       {"commutative (512b)", std::make_unique<CommutativeJoinProtocol>(
                                  CommutativeProtocolOptions{512, false})});

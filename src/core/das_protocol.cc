@@ -137,12 +137,6 @@ Result<Relation> DasJoinProtocol::Run(const std::string& sql,
       }
       span.AddItems(join_attrs.size());
     }
-    std::vector<std::string> clear_cols;
-    for (const std::string& col : options_.plaintext_columns) {
-      if (rel.schema().HasColumn(Schema::BaseName(col))) {
-        clear_cols.push_back(Schema::BaseName(col));
-      }
-    }
     SourceSecrets secrets;
     secrets.etuple_key = Aead::GenerateKey(rng);
     secrets.schema = rel.schema();
@@ -153,8 +147,8 @@ Result<Relation> DasJoinProtocol::Run(const std::string& sql,
       SECMED_ASSIGN_OR_RETURN(
           d.encrypted,
           DasEncryptRelation(rel, join_attrs, d.itables, secrets.etuple_key,
-                             rng, clear_cols, ResolveThreads(ctx->threads),
-                             ctx->obs, label.c_str()));
+                             rng, ResolveThreads(ctx->threads), ctx->obs,
+                             label.c_str()));
       span.AddItems(rel.size());
     }
     obs::Span span = obs::StartSpan(ctx->obs, role, "delivery", "das.seal");
@@ -171,10 +165,6 @@ Result<Relation> DasJoinProtocol::Run(const std::string& sql,
       mat.WriteU8(static_cast<uint8_t>(setting));
       mat.WriteU32(static_cast<uint32_t>(options_.strategy));
       mat.WriteU32(static_cast<uint32_t>(options_.num_partitions));
-      mat.WriteU32(static_cast<uint32_t>(options_.plaintext_columns.size()));
-      for (const std::string& col : options_.plaintext_columns) {
-        mat.WriteString(col);
-      }
       mat.WriteU32(static_cast<uint32_t>(join_attrs.size()));
       for (const std::string& a : join_attrs) mat.WriteString(a);
       mat.WriteBytes(client_key.Serialize());

@@ -34,12 +34,6 @@ struct DasProtocolOptions {
   /// partitions → larger superset at the client but less inference
   /// exposure at the mediator (Section 6).
   size_t num_partitions = 4;
-  /// Mixed DAS model (Mykletun/Tsudik, Related Work [18]): the named
-  /// non-sensitive columns additionally travel in the clear beside the
-  /// etuples — VISIBLE TO THE MEDIATOR. Columns absent from a relation's
-  /// schema are skipped for that relation. Empty = fully encrypted (the
-  /// paper's model).
-  std::vector<std::string> plaintext_columns;
   /// Where the query translator runs (see DasTranslatorSetting).
   DasTranslatorSetting translator = DasTranslatorSetting::kClient;
 };

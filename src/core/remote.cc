@@ -118,7 +118,7 @@ Result<std::unique_ptr<JoinProtocol>> BuildProtocol(const RunSpec& spec) {
   if (spec.protocol == "das") {
     return std::unique_ptr<JoinProtocol>(
         std::make_unique<DasJoinProtocol>(DasProtocolOptions{
-            PartitionStrategy::kEquiDepth, spec.das_partitions, {}}));
+            PartitionStrategy::kEquiDepth, spec.das_partitions}));
   }
   if (spec.protocol == "commutative") {
     return std::unique_ptr<JoinProtocol>(std::make_unique<

@@ -14,8 +14,6 @@ Bytes DasRelation::Serialize() const {
     w.WriteBytes(t.etuple);
     w.WriteU32(static_cast<uint32_t>(t.join_indexes.size()));
     for (uint64_t idx : t.join_indexes) w.WriteU64(idx);
-    w.WriteU32(static_cast<uint32_t>(t.plaintext_cells.size()));
-    for (const Value& v : t.plaintext_cells) v.EncodeTo(&w);
   }
   return w.TakeBuffer();
 }
@@ -35,69 +33,15 @@ Result<DasRelation> DasRelation::Deserialize(const Bytes& data) {
       SECMED_ASSIGN_OR_RETURN(uint64_t idx, r.ReadU64());
       t.join_indexes.push_back(idx);
     }
-    SECMED_ASSIGN_OR_RETURN(uint32_t cells, r.ReadU32());
-    t.plaintext_cells.reserve(std::min<size_t>(cells, r.remaining()));
-    for (uint32_t j = 0; j < cells; ++j) {
-      SECMED_ASSIGN_OR_RETURN(Value v, Value::DecodeFrom(&r));
-      t.plaintext_cells.push_back(std::move(v));
-    }
     rel.tuples.push_back(std::move(t));
   }
   if (!r.AtEnd()) return Status::ParseError("trailing bytes in DAS relation");
   return rel;
 }
 
-Result<DasRelation> DasEncryptRelation(
-    const Relation& rel, const std::vector<std::string>& join_columns,
-    const std::vector<IndexTable>& index_tables, const Bytes& etuple_key,
-    RandomSource* rng, const std::vector<std::string>& plaintext_columns,
-    size_t threads, obs::Scope* scope, const char* label) {
-  if (join_columns.empty() || join_columns.size() != index_tables.size()) {
-    return Status::InvalidArgument(
-        "join columns and index tables must match and be non-empty");
-  }
-  std::vector<size_t> col_idx;
-  for (const std::string& col : join_columns) {
-    SECMED_ASSIGN_OR_RETURN(size_t i, rel.schema().IndexOf(col));
-    col_idx.push_back(i);
-  }
-  std::vector<size_t> clear_idx;
-  for (const std::string& col : plaintext_columns) {
-    SECMED_ASSIGN_OR_RETURN(size_t i, rel.schema().IndexOf(col));
-    clear_idx.push_back(i);
-  }
-  DasRelation out;
-  out.tuples.resize(rel.size());
-  for (size_t i = 0; i < rel.size(); ++i) {
-    const Tuple& t = rel.tuples()[i];
-    DasTuple& dt = out.tuples[i];
-    dt.join_indexes.reserve(col_idx.size());
-    for (size_t k = 0; k < col_idx.size(); ++k) {
-      SECMED_ASSIGN_OR_RETURN(uint64_t idx,
-                              index_tables[k].IndexOf(t[col_idx[k]]));
-      dt.join_indexes.push_back(idx);
-    }
-    for (size_t c : clear_idx) dt.plaintext_cells.push_back(t[c]);
-  }
-  SECMED_ASSIGN_OR_RETURN(
-      std::vector<Bytes> etuples,
-      SealEtuples(etuple_key, rel.tuples(), rng, threads, scope, label));
-  for (size_t i = 0; i < rel.size(); ++i) {
-    out.tuples[i].etuple = std::move(etuples[i]);
-  }
-  return out;
-}
-
-Result<DasRelation> DasEncryptRelation(const Relation& rel,
-                                       const std::string& join_column,
-                                       const IndexTable& index_table,
-                                       const Bytes& etuple_key,
-                                       RandomSource* rng) {
-  return DasEncryptRelation(rel, std::vector<std::string>{join_column},
-                            std::vector<IndexTable>{index_table}, etuple_key,
-                            rng);
-}
-
+namespace {
+// Seals each tuple as an etuple under `etuple_key`, in order, with the
+// IVs drawn up front (see DasEncryptRelation).
 Result<std::vector<Bytes>> SealEtuples(const Bytes& etuple_key,
                                        const std::vector<Tuple>& tuples,
                                        RandomSource* rng, size_t threads,
@@ -116,6 +60,51 @@ Result<std::vector<Bytes>> SealEtuples(const Bytes& etuple_key,
       },
       scope, label));
   return etuples;
+}
+}  // namespace
+
+Result<DasRelation> DasEncryptRelation(
+    const Relation& rel, const std::vector<std::string>& join_columns,
+    const std::vector<IndexTable>& index_tables, const Bytes& etuple_key,
+    RandomSource* rng, size_t threads, obs::Scope* scope, const char* label) {
+  if (join_columns.empty() || join_columns.size() != index_tables.size()) {
+    return Status::InvalidArgument(
+        "join columns and index tables must match and be non-empty");
+  }
+  std::vector<size_t> col_idx;
+  for (const std::string& col : join_columns) {
+    SECMED_ASSIGN_OR_RETURN(size_t i, rel.schema().IndexOf(col));
+    col_idx.push_back(i);
+  }
+  DasRelation out;
+  out.tuples.resize(rel.size());
+  for (size_t i = 0; i < rel.size(); ++i) {
+    const Tuple& t = rel.tuples()[i];
+    DasTuple& dt = out.tuples[i];
+    dt.join_indexes.reserve(col_idx.size());
+    for (size_t k = 0; k < col_idx.size(); ++k) {
+      SECMED_ASSIGN_OR_RETURN(uint64_t idx,
+                              index_tables[k].IndexOf(t[col_idx[k]]));
+      dt.join_indexes.push_back(idx);
+    }
+  }
+  SECMED_ASSIGN_OR_RETURN(
+      std::vector<Bytes> etuples,
+      SealEtuples(etuple_key, rel.tuples(), rng, threads, scope, label));
+  for (size_t i = 0; i < rel.size(); ++i) {
+    out.tuples[i].etuple = std::move(etuples[i]);
+  }
+  return out;
+}
+
+Result<DasRelation> DasEncryptRelation(const Relation& rel,
+                                       const std::string& join_column,
+                                       const IndexTable& index_table,
+                                       const Bytes& etuple_key,
+                                       RandomSource* rng) {
+  return DasEncryptRelation(rel, std::vector<std::string>{join_column},
+                            std::vector<IndexTable>{index_table}, etuple_key,
+                            rng);
 }
 
 Result<std::vector<Tuple>> OpenEtuples(const Bytes& etuple_key,

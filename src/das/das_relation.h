@@ -18,15 +18,9 @@ namespace secmed {
 /// of the partition containing the tuple's value for each indexed join
 /// attribute (one in the paper's base protocol; several in the Section 8
 /// multi-attribute extension).
-///
-/// In the *mixed DAS model* of Mykletun and Tsudik (Related Work [18])
-/// only sensitive attributes are encrypted; `plaintext_cells` then carries
-/// the cleartext values of the non-sensitive columns — visible to the
-/// mediator, which is exactly the model's trade-off.
 struct DasTuple {
   Bytes etuple;
   std::vector<uint64_t> join_indexes;
-  std::vector<Value> plaintext_cells;  // empty in the fully encrypted model
 };
 
 /// A DAS-encrypted partial result RS = {<etuple, aS_1..aS_k>}.
@@ -47,18 +41,14 @@ struct DasRelation {
 /// value through the corresponding index table. `join_columns` and
 /// `index_tables` must have equal, non-zero length.
 ///
-/// `plaintext_columns` selects the mixed-DAS mode: the named non-sensitive
-/// columns additionally travel in the clear next to the etuple (the
-/// encrypted tuple still contains every column, so decryption is
-/// unchanged). Leave empty for the paper's fully encrypted model.
-///
-/// The etuples are sealed by SealEtuples with `threads`, `scope` and
-/// `label`.
+/// Every IV is drawn from `rng` in tuple order, in one call, before
+/// `threads` sealing workers run, so the output is bit-identical for every
+/// thread count under a seeded `rng`. A non-null `scope` instruments the
+/// sealing loop under `label` (per-worker spans and items counters).
 Result<DasRelation> DasEncryptRelation(
     const Relation& rel, const std::vector<std::string>& join_columns,
     const std::vector<IndexTable>& index_tables, const Bytes& etuple_key,
-    RandomSource* rng, const std::vector<std::string>& plaintext_columns = {},
-    size_t threads = 1, obs::Scope* scope = nullptr,
+    RandomSource* rng, size_t threads = 1, obs::Scope* scope = nullptr,
     const char* label = "das.encrypt_relation");
 
 /// Single-attribute convenience overload (the paper's base protocol).
@@ -67,17 +57,6 @@ Result<DasRelation> DasEncryptRelation(const Relation& rel,
                                        const IndexTable& index_table,
                                        const Bytes& etuple_key,
                                        RandomSource* rng);
-
-/// Seals each tuple as an etuple under `etuple_key`, in order. Every IV
-/// is drawn from `rng` in tuple order, in one call, before `threads`
-/// sealing workers run, so the output is bit-identical for every thread
-/// count under a seeded `rng`. A non-null `scope` instruments the loop
-/// under `label` (per-worker spans and items counters).
-Result<std::vector<Bytes>> SealEtuples(const Bytes& etuple_key,
-                                       const std::vector<Tuple>& tuples,
-                                       RandomSource* rng, size_t threads = 1,
-                                       obs::Scope* scope = nullptr,
-                                       const char* label = "das.seal_etuples");
 
 /// Opens etuples sealed under `etuple_key` and decodes their tuples, in
 /// order. Fails with kCryptoError on a tampered etuple or a wrong key.

@@ -92,36 +92,4 @@ Result<JoinQueryPlan> Mediator::PlanJoinQuery(const std::string& sql) const {
   return plan;
 }
 
-Result<Mediator::SelectionQueryPlan> Mediator::PlanSelectionQuery(
-    const std::string& sql) const {
-  SECMED_ASSIGN_OR_RETURN(ParsedQuery query, ParseSql(sql));
-  if (!query.joins.empty()) {
-    return Status::Unimplemented(
-        "selection protocol handles single-table queries; use a join "
-        "protocol");
-  }
-  if (!query.select_columns.empty() || query.HasAggregates()) {
-    return Status::Unimplemented(
-        "selection protocol supports SELECT *; project client-side");
-  }
-  SelectionQueryPlan plan;
-  plan.table = query.from.name;
-  SECMED_ASSIGN_OR_RETURN(plan.source, SourceOf(plan.table));
-  SECMED_ASSIGN_OR_RETURN(plan.schema, SchemaOf(plan.table));
-  // The WHERE clause is usually *redacted* before the query reaches the
-  // mediator (the client keeps the constants and sends only search
-  // tokens); when present, validate it anyway.
-  if (query.where && query.where->kind() != Predicate::Kind::kTrue) {
-    SECMED_RETURN_IF_ERROR(
-        ExtractEqualityConditions(query.where, &plan.equalities));
-    for (const auto& [col, value] : plan.equalities) {
-      if (!plan.schema.HasColumn(Schema::BaseName(col))) {
-        return Status::InvalidArgument("unknown column in condition: " + col);
-      }
-    }
-  }
-  plan.partial_query = "select * from " + plan.table;
-  return plan;
-}
-
 }  // namespace secmed

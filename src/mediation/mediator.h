@@ -62,18 +62,6 @@ class Mediator {
   /// joins without a shared attribute, and joins over unregistered tables.
   Result<JoinQueryPlan> PlanJoinQuery(const std::string& sql) const;
 
-  /// Plans a single-table exact-match selection query
-  /// (SELECT * FROM t WHERE col = literal [AND col = literal ...]) for the
-  /// searchable-encryption selection protocol (Yang et al., Related Work).
-  struct SelectionQueryPlan {
-    std::string table;
-    std::string source;
-    Schema schema;
-    std::vector<std::pair<std::string, Value>> equalities;
-    std::string partial_query;  // "select * from <table>"
-  };
-  Result<SelectionQueryPlan> PlanSelectionQuery(const std::string& sql) const;
-
  private:
   struct TableInfo {
     std::string source;

@@ -142,33 +142,4 @@ std::string Predicate::ToString() const {
   return "?";
 }
 
-Status ExtractEqualityConditions(
-    const PredicatePtr& pred,
-    std::vector<std::pair<std::string, Value>>* out) {
-  switch (pred->kind()) {
-    case Predicate::Kind::kAnd:
-      SECMED_RETURN_IF_ERROR(ExtractEqualityConditions(pred->left(), out));
-      return ExtractEqualityConditions(pred->right(), out);
-    case Predicate::Kind::kCompare: {
-      if (pred->op() != CompareOp::kEq) {
-        return Status::Unimplemented("only equality conditions supported");
-      }
-      const Predicate::Operand& l = pred->lhs();
-      const Predicate::Operand& r = pred->rhs();
-      if (l.is_column && !r.is_column) {
-        out->emplace_back(l.column, r.literal);
-      } else if (!l.is_column && r.is_column) {
-        out->emplace_back(r.column, l.literal);
-      } else {
-        return Status::Unimplemented(
-            "conditions must compare a column with a literal");
-      }
-      return Status::OK();
-    }
-    default:
-      return Status::Unimplemented(
-          "only conjunctions of equalities supported");
-  }
-}
-
 }  // namespace secmed

@@ -88,13 +88,6 @@ class Predicate {
   PredicatePtr b_;
 };
 
-/// Extracts the column = literal conjuncts of a predicate that is a pure
-/// conjunction of equalities; kUnimplemented for any other shape. Used by
-/// the selection planners.
-Status ExtractEqualityConditions(
-    const PredicatePtr& pred,
-    std::vector<std::pair<std::string, Value>>* out);
-
 }  // namespace secmed
 
 #endif  // SECMED_RELATIONAL_PREDICATE_H_

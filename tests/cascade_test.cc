@@ -151,7 +151,7 @@ TEST(CascadeTest, ThreeWayJoinCommutative) {
 
 TEST(CascadeTest, ThreeWayJoinDas) {
   CascadeEnv env;
-  DasJoinProtocol das(DasProtocolOptions{PartitionStrategy::kEquiDepth, 2, {}});
+  DasJoinProtocol das(DasProtocolOptions{PartitionStrategy::kEquiDepth, 2});
   CascadeExecutor cascade(&das, env.ca_key());
   Relation result =
       cascade
@@ -184,13 +184,13 @@ TEST(CascadeTest, MixedProtocolScheduleMatchesUniformRuns) {
 
   CascadeEnv das_env;
   DasJoinProtocol das0(
-      DasProtocolOptions{PartitionStrategy::kEquiDepth, 2, {}});
+      DasProtocolOptions{PartitionStrategy::kEquiDepth, 2});
   CascadeExecutor uniform(&das0, das_env.ca_key());
   Relation das_result = uniform.Run(sql, das_env.ctx()).value();
 
   // DAS for the cheap first level, commutative for the second.
   CascadeEnv mixed_env;
-  DasJoinProtocol das(DasProtocolOptions{PartitionStrategy::kEquiDepth, 2, {}});
+  DasJoinProtocol das(DasProtocolOptions{PartitionStrategy::kEquiDepth, 2});
   CommutativeJoinProtocol comm(CommutativeProtocolOptions{256, false});
   CascadeExecutor mixed(&comm, mixed_env.ca_key());
   mixed.SetProtocolSchedule({&das, &comm});
@@ -202,7 +202,7 @@ TEST(CascadeTest, MixedProtocolScheduleMatchesUniformRuns) {
   // The reverse order composes too.
   CascadeEnv rev_env;
   DasJoinProtocol das2(
-      DasProtocolOptions{PartitionStrategy::kEquiDepth, 2, {}});
+      DasProtocolOptions{PartitionStrategy::kEquiDepth, 2});
   CommutativeJoinProtocol comm2(CommutativeProtocolOptions{256, false});
   CascadeExecutor reversed(&comm2, rev_env.ca_key());
   reversed.SetProtocolSchedule({&comm2, &das2});
@@ -218,7 +218,7 @@ TEST(CascadeTest, PartialAndEmptySchedules) {
       "SELECT * FROM patients NATURAL JOIN treatments NATURAL JOIN stock";
 
   CascadeEnv partial_env;
-  DasJoinProtocol das(DasProtocolOptions{PartitionStrategy::kEquiDepth, 2, {}});
+  DasJoinProtocol das(DasProtocolOptions{PartitionStrategy::kEquiDepth, 2});
   CommutativeJoinProtocol comm(CommutativeProtocolOptions{256, false});
   CascadeExecutor partial(&comm, partial_env.ca_key());
   partial.SetProtocolSchedule({&das});  // level 0 only; level 1 falls back

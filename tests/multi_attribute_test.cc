@@ -95,11 +95,11 @@ class MultiAttributeProtocol : public ::testing::TestWithParam<std::string> {
     const std::string& which = GetParam();
     if (which == "das") {
       return std::make_unique<DasJoinProtocol>(
-          DasProtocolOptions{PartitionStrategy::kEquiDepth, 3, {}});
+          DasProtocolOptions{PartitionStrategy::kEquiDepth, 3});
     }
     if (which == "das-width") {
       return std::make_unique<DasJoinProtocol>(
-          DasProtocolOptions{PartitionStrategy::kEquiWidth, 2, {}});
+          DasProtocolOptions{PartitionStrategy::kEquiWidth, 2});
     }
     if (which == "commutative") {
       return std::make_unique<CommutativeJoinProtocol>(

@@ -73,7 +73,7 @@ TracedRun RunWith(const Workload& w, const std::string& label, size_t threads,
 }
 
 Bytes RunDas(MediationTestbed& tb) {
-  DasJoinProtocol das(DasProtocolOptions{PartitionStrategy::kEquiDepth, 4, {}});
+  DasJoinProtocol das(DasProtocolOptions{PartitionStrategy::kEquiDepth, 4});
   auto r = das.Run(tb.JoinSql(), tb.ctx());
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return r.ok() ? r->Serialize() : Bytes();

@@ -81,7 +81,7 @@ TEST(ParallelEquivalence, DasProtocol) {
   Workload w = EquivWorkload();
   auto run = [](MediationTestbed& tb) -> Bytes {
     DasJoinProtocol das(
-        DasProtocolOptions{PartitionStrategy::kEquiDepth, 4, {}});
+        DasProtocolOptions{PartitionStrategy::kEquiDepth, 4});
     auto r = das.Run(tb.JoinSql(), tb.ctx());
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return r.ok() ? r->Serialize() : Bytes();

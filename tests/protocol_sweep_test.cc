@@ -75,11 +75,11 @@ WorkloadConfig ShapeConfig(const std::string& shape, uint64_t seed) {
 std::unique_ptr<JoinProtocol> MakeProtocol(const std::string& which) {
   if (which == "das") {
     return std::make_unique<DasJoinProtocol>(
-        DasProtocolOptions{PartitionStrategy::kEquiDepth, 3, {}});
+        DasProtocolOptions{PartitionStrategy::kEquiDepth, 3});
   }
   if (which == "das-singleton") {
     return std::make_unique<DasJoinProtocol>(
-        DasProtocolOptions{PartitionStrategy::kSingleton, 0, {}});
+        DasProtocolOptions{PartitionStrategy::kSingleton, 0});
   }
   if (which == "commutative") {
     return std::make_unique<CommutativeJoinProtocol>(

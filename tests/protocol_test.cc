@@ -19,15 +19,15 @@ namespace {
 std::unique_ptr<JoinProtocol> MakeProtocol(const std::string& which) {
   if (which == "das") {
     return std::make_unique<DasJoinProtocol>(
-        DasProtocolOptions{PartitionStrategy::kEquiDepth, 3, {}});
+        DasProtocolOptions{PartitionStrategy::kEquiDepth, 3});
   }
   if (which == "das-singleton") {
     return std::make_unique<DasJoinProtocol>(
-        DasProtocolOptions{PartitionStrategy::kSingleton, 0, {}});
+        DasProtocolOptions{PartitionStrategy::kSingleton, 0});
   }
   if (which == "das-onebucket") {
     return std::make_unique<DasJoinProtocol>(
-        DasProtocolOptions{PartitionStrategy::kEquiDepth, 1, {}});
+        DasProtocolOptions{PartitionStrategy::kEquiDepth, 1});
   }
   if (which == "commutative") {
     return std::make_unique<CommutativeJoinProtocol>(
@@ -182,7 +182,7 @@ TEST(PmNaiveTest, MediatorNeverSeesPlaintext) {
 
 TEST(DasProtocolTest, ClientReceivesSupersetMediatorLearnsSizes) {
   TestEnvironment env(SmallWorkload(21), "das-super");
-  DasJoinProtocol das(DasProtocolOptions{PartitionStrategy::kEquiDepth, 2, {}});
+  DasJoinProtocol das(DasProtocolOptions{PartitionStrategy::kEquiDepth, 2});
   Relation result = das.Run(env.JoinSql(), env.ctx()).value();
   // Superset property: |RC| >= |result|.
   EXPECT_GE(das.last_server_result_size(), result.size());
@@ -195,7 +195,7 @@ TEST(DasProtocolTest, ClientReceivesSupersetMediatorLearnsSizes) {
 
 TEST(DasProtocolTest, SingletonPartitioningIsExact) {
   TestEnvironment env(SmallWorkload(22), "das-exact");
-  DasJoinProtocol das(DasProtocolOptions{PartitionStrategy::kSingleton, 0, {}});
+  DasJoinProtocol das(DasProtocolOptions{PartitionStrategy::kSingleton, 0});
   Relation result = das.Run(env.JoinSql(), env.ctx()).value();
   EXPECT_EQ(das.last_server_result_size(), result.size());
 }

@@ -53,7 +53,7 @@ Workload TinyWorkload() {
 std::unique_ptr<JoinProtocol> MakeProtocol(const std::string& which) {
   if (which == "das") {
     return std::make_unique<DasJoinProtocol>(
-        DasProtocolOptions{PartitionStrategy::kEquiDepth, 2, {}});
+        DasProtocolOptions{PartitionStrategy::kEquiDepth, 2});
   }
   if (which == "commutative") {
     return std::make_unique<CommutativeJoinProtocol>(

@@ -1390,7 +1390,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<JoinProtocol> protocol;
   if (args.protocol == "das") {
     protocol = std::make_unique<DasJoinProtocol>(
-        DasProtocolOptions{PartitionStrategy::kEquiDepth, args.partitions, {}});
+        DasProtocolOptions{PartitionStrategy::kEquiDepth, args.partitions});
   } else if (args.protocol == "commutative") {
     protocol = std::make_unique<CommutativeJoinProtocol>(
         CommutativeProtocolOptions{args.group_bits, false});
