@@ -106,8 +106,8 @@ void ExpectPinned(const std::string& variant, const RunFn& run,
 TEST(TranscriptDigest, DasDefault) {
   ExpectPinned(
       "das", RelationRun<DasJoinProtocol>(),
-      "dfdae6c0135b6050b1af6138c5daab13b7967b3db571026ad5d148cdb03bfd8d",
-      "1eb3f6ef2199b38a7a5e78eb37ef1a3dd3d849bd9dc63b28f09a28e985e89b45");
+      "2910f4c17c9002ef2c0d7ef88adb585faffe379181a9a04946c876ce31a7a88e",
+      "dd768013eaf13c7af5815aa3a90f3e8180719fb6f0bc703cbba92bd327cf9784");
 }
 
 TEST(TranscriptDigest, DasEquiWidth) {
@@ -115,8 +115,8 @@ TEST(TranscriptDigest, DasEquiWidth) {
   o.strategy = PartitionStrategy::kEquiWidth;
   ExpectPinned(
       "das-equi-width", RelationRun<DasJoinProtocol>(o),
-      "8bf55fe861f34bd582a3573c1d149d5955e2ac97e600c7df63368f43843b0e00",
-      "c0b72e4b678311ca5e40fba6190be14c276d21eefc028479ba6f1d652f4606c3");
+      "c0ff14b959f4739308b36929022df99659c9ad2524dabea7e8102e0be865c6c5",
+      "bb7071467cec508d966846e6d4754765579e96eb063fd4ca632526646352bce1");
 }
 
 TEST(TranscriptDigest, DasSingleton) {
@@ -124,8 +124,8 @@ TEST(TranscriptDigest, DasSingleton) {
   o.strategy = PartitionStrategy::kSingleton;
   ExpectPinned(
       "das-singleton", RelationRun<DasJoinProtocol>(o),
-      "df36b72776a4b67d12246eebfafafa20457e14997d1eef22fea58b215d8d79ab",
-      "47a2bbdfe615ee45ca1462326b604ce798f4384fd0c64e84ca1d6cb90dd2f7df");
+      "1602c3fc1b0637eae62f0aeca410d775a6ebf7c1968467e6f29f54ec0cd1cd0c",
+      "72af8963e8b54d5e640f4caf41575eb316765eb3fbe505ccd8ee11d272e2051d");
 }
 
 TEST(TranscriptDigest, DasSourceTranslator) {
@@ -133,8 +133,8 @@ TEST(TranscriptDigest, DasSourceTranslator) {
   o.translator = DasTranslatorSetting::kSource;
   ExpectPinned(
       "das-source", RelationRun<DasJoinProtocol>(o),
-      "27d27edee7b0c5c7191b2655a866488cc671322da5c5c2a57a26496548dcc1bb",
-      "f0d73d777194dec19ae036340021067c0520bf4614219d387b36bfb4fe8df439");
+      "24387a72689797e6cd033febab8932411cf0267f0cd3aa7c801c65b593ba7acf",
+      "6a459b6b8728ab0c228b3d2e511f69f37e425f941f10d68cb35adf6423c49d75");
 }
 
 TEST(TranscriptDigest, DasMediatorTranslator) {
@@ -142,8 +142,8 @@ TEST(TranscriptDigest, DasMediatorTranslator) {
   o.translator = DasTranslatorSetting::kMediator;
   ExpectPinned(
       "das-mediator", RelationRun<DasJoinProtocol>(o),
-      "5390982c30ccd93472d2f8e80069eee29c0a932409bc2bdd6aa5c67faa1c1fa4",
-      "8699f09c6f75d9004500cd5a3182b744db52e443394fd10caddeaa62ce79594c");
+      "063ad6759cb38bebfa78837db4731ad5de1b0dfe6a42fb44a10d0650ba6010fc",
+      "4bbcf4edfddf9d2ef93563d08bab260b3a44fccb7f573534e7bcafde6bbffdc3");
 }
 
 // ---------------------------------------------------------- commutative --
