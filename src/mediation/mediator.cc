@@ -41,6 +41,12 @@ Result<JoinQueryPlan> Mediator::PlanJoinQuery(const std::string& sql) const {
         "WHERE clauses on the global join query are not supported by the "
         "delivery protocols");
   }
+  if (query.HasAggregates() || !query.group_by.empty() ||
+      !query.order_by.empty() || query.limit != SIZE_MAX) {
+    return Status::Unimplemented(
+        "aggregates, GROUP BY, ORDER BY and LIMIT on a two-relation join "
+        "are not supported by the delivery protocols");
+  }
   if (query.joins.size() != 1) {
     return Status::Unimplemented(
         "protocols mediate exactly one JOIN of two relations (got " +

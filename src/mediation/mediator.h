@@ -58,8 +58,13 @@ class Mediator {
   /// two-relation JOIN, identifies the join attributes (A1 = A2) and the
   /// responsible datasources, and produces the partial queries.
   ///
-  /// Rejected queries: non-join queries, joins of more than two relations,
-  /// joins without a shared attribute, and joins over unregistered tables.
+  /// The delivery protocols return the whole join, so only `SELECT *`
+  /// with no WHERE, aggregate, GROUP BY, ORDER BY or LIMIT is accepted;
+  /// any of those fails with kUnimplemented rather than returning the raw
+  /// join. (A k-way CascadeExecutor sends each level `SELECT *` and
+  /// applies them at the client.) Also rejected: non-join queries, joins
+  /// of more than two relations, joins without a shared attribute, and
+  /// joins over unregistered tables.
   Result<JoinQueryPlan> PlanJoinQuery(const std::string& sql) const;
 
  private:

@@ -9,6 +9,7 @@
 #include "core/das_protocol.h"
 #include "core/pm_protocol.h"
 #include "core/remote.h"
+#include "core/testbed.h"
 #include "crypto/drbg.h"
 #include "plan/planner.h"
 #include "mediation/client.h"
@@ -16,6 +17,7 @@
 #include "mediation/mediator.h"
 #include "mediation/network.h"
 #include "relational/algebra.h"
+#include "service/query_service.h"
 
 namespace secmed {
 namespace {
@@ -407,6 +409,36 @@ TEST(CascadeTest, RejectsNoJoin) {
   CommutativeJoinProtocol comm;
   CascadeExecutor cascade(&comm, env.ca_key());
   EXPECT_FALSE(cascade.Run("SELECT * FROM patients", env.ctx()).ok());
+}
+
+// The service runs a two-relation query as one protocol run, which
+// returns the whole join, so an aggregate must fail loudly instead of
+// coming back as the raw join rows. (A k-way query keeps its
+// post-processing: the cascade applies it at the client, as above.)
+TEST(CascadeTest, ServiceRejectsTwoRelationAggregate) {
+  WorkloadConfig cfg;
+  cfg.r1_tuples = 12;
+  cfg.r2_tuples = 10;
+  cfg.r1_domain = 6;
+  cfg.r2_domain = 5;
+  cfg.common_values = 3;
+  cfg.seed = 77;
+  auto tb = MediationTestbed::Create(GenerateWorkload(cfg));
+  ASSERT_TRUE(tb.ok()) << tb.status().ToString();
+  QueryService service(tb->get(), QueryService::Options());
+  std::string sql = (*tb)->JoinSql();
+  ASSERT_EQ(sql.rfind("SELECT * ", 0), 0u);
+  sql.replace(0, 8, "SELECT COUNT(*)");
+  for (const char* protocol : {"das", "commutative", "pm", "auto"}) {
+    QueryService::Query q;
+    q.protocol = protocol;
+    q.sql = sql;
+    q.group_bits = 256;
+    Result<QueryOutcome> out = service.Run(q);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(out->status.code(), StatusCode::kUnimplemented)
+        << protocol << ": " << out->status.ToString();
+  }
 }
 
 TEST(CascadeTest, MediatorsInHierarchyNeverSeePlaintext) {

@@ -255,6 +255,18 @@ TEST(MediatorTest, RejectsUnsupportedQueries) {
       m.PlanJoinQuery(
            "SELECT * FROM medical NATURAL JOIN billing WHERE cost > 5")
           .ok());
+  // Post-processing: the protocols return the whole join, so these must
+  // fail rather than come back as the raw join.
+  for (const char* sql :
+       {"SELECT COUNT(*) FROM medical NATURAL JOIN billing",
+        "SELECT SUM(cost) FROM medical NATURAL JOIN billing",
+        "SELECT * FROM medical NATURAL JOIN billing GROUP BY diag",
+        "SELECT * FROM medical NATURAL JOIN billing ORDER BY cost",
+        "SELECT * FROM medical NATURAL JOIN billing LIMIT 1"}) {
+    EXPECT_EQ(m.PlanJoinQuery(sql).status().code(),
+              StatusCode::kUnimplemented)
+        << sql;
+  }
   // Unregistered table.
   EXPECT_FALSE(
       m.PlanJoinQuery("SELECT * FROM medical NATURAL JOIN unknown").ok());
