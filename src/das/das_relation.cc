@@ -28,6 +28,9 @@ Result<DasRelation> DasRelation::Deserialize(const Bytes& data) {
     DasTuple t;
     SECMED_ASSIGN_OR_RETURN(t.etuple, r.ReadBytes());
     SECMED_ASSIGN_OR_RETURN(uint32_t k, r.ReadU32());
+    if (k > r.remaining() / sizeof(uint64_t)) {
+      return Status::ParseError("implausible join index count");
+    }
     t.join_indexes.reserve(k);
     for (uint32_t j = 0; j < k; ++j) {
       SECMED_ASSIGN_OR_RETURN(uint64_t idx, r.ReadU64());

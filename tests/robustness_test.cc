@@ -30,6 +30,8 @@
 #include "core/pm_protocol.h"
 #include "core/testbed.h"
 #include "crypto/drbg.h"
+#include "das/das_relation.h"
+#include "das/index_table.h"
 #include "das/query_translator.h"
 #include "net/tcp_transport.h"
 #include "util/serialize.h"
@@ -463,21 +465,59 @@ TEST(FuzzishDeserializeTest, RandomBytesRejectedGracefully) {
     (void)DecodeTuple(junk);
     BinaryReader r(junk);
     (void)Schema::DecodeFrom(&r);
+    (void)DasRelation::Deserialize(junk);
+    (void)DasServerQuery::Deserialize(junk);
+    (void)DasServerResult::Deserialize(junk);
+    (void)IndexTable::Deserialize(junk);
   }
   SUCCEED();
 }
 
 // Every prefix of a valid serialization must be rejected (no over-reads).
+template <typename T>
+void ExpectAllTruncationsRejected(const T& value) {
+  Bytes full = value.Serialize();
+  for (size_t len = 0; len < full.size(); ++len) {
+    Bytes prefix(full.begin(), full.begin() + len);
+    EXPECT_FALSE(T::Deserialize(prefix).ok()) << len;
+  }
+  EXPECT_TRUE(T::Deserialize(full).ok());
+}
+
 TEST(FuzzishDeserializeTest, AllTruncationsRejected) {
   Relation rel{Schema({{"id", ValueType::kInt64}, {"s", ValueType::kString}})};
   ASSERT_TRUE(rel.Append({Value::Int(1), Value::Str("abc")}).ok());
   ASSERT_TRUE(rel.Append({Value::Int(2), Value::Null()}).ok());
-  Bytes full = rel.Serialize();
-  for (size_t len = 0; len < full.size(); ++len) {
-    Bytes prefix(full.begin(), full.begin() + len);
-    EXPECT_FALSE(Relation::Deserialize(prefix).ok()) << len;
-  }
-  EXPECT_TRUE(Relation::Deserialize(full).ok());
+  ExpectAllTruncationsRejected(rel);
+
+  DasRelation das;
+  das.name = "r";
+  das.tuples = {{{1, 2, 3}, {7, 9}}, {{4}, {8}}};
+  ExpectAllTruncationsRejected(das);
+  ExpectAllTruncationsRejected(DasServerQuery{{{{1, 2}, {3, 4}}, {{5, 6}}}});
+  ExpectAllTruncationsRejected(
+      DasServerResult{{Bytes{1, 2}, Bytes{3}}, {Bytes{4}}, {{0, 0}, {1, 0}}});
+  ExpectAllTruncationsRejected(IndexTable(
+      "a", {{.index = 5, .is_range = true, .lo = 0, .hi = 9, .values = {}},
+            {.index = 6,
+             .is_range = false,
+             .lo = 0,
+             .hi = 0,
+             .values = {Value::Str("x"), Value::Int(3)}}}));
+}
+
+// A DAS relation that declares more join indexes than it has bytes for
+// must fail before it reserves memory for them: 0xFFFFFFFF indexes would
+// ask for a 32 GiB reservation.
+TEST(FuzzishDeserializeTest, HugeJoinIndexCountRejected) {
+  BinaryWriter w;
+  w.WriteString("r");
+  w.WriteU32(1);                 // one tuple
+  w.WriteBytes(Bytes{1, 2, 3});  // its etuple
+  w.WriteU32(0xFFFFFFFFu);       // join index count
+  w.WriteU64(42);                // room for one index only
+  EXPECT_EQ(DasRelation::Deserialize(w.TakeBuffer()).status().code(),
+            StatusCode::kParseError);
 }
 
 // --- Frame-level tampering on the TCP transport -------------------------
