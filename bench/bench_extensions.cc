@@ -1,13 +1,10 @@
 // Extension experiments: the protocols this library adds on top of the
-// paper's joins (its Section 8 outlook), measured side by side.
+// paper (Section 8 outlook + related-work lines), measured side by side.
 //
 //  E1 — secure INTERSECTION (commutative vs private matching): wall time
 //       and client-bound bytes for the same workload.
 //  E2 — aggregation over ciphertexts vs "join then aggregate at client":
 //       the traffic and disclosure the aggregate protocol saves.
-//
-// (E3, exact-match selection vs bucketized range selection, went with
-// those two survey protocols: no served path ran them.)
 
 #include <chrono>
 #include <cstdio>
